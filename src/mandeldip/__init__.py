@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from . import analysis, cli, detect, fock, optics, pdc, runner  # noqa: F401
+from . import analysis, detect, fock, optics, pdc, runner  # noqa: F401

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -213,29 +213,6 @@ def visibility(od_rate: float, id_rate: float) -> float:
     if id_rate < 0.0 or id_rate > od_rate:
         raise ValueError("in-dip rate must lie in [0, od_rate]")
     return (od_rate - id_rate) / od_rate
-
-
-def net_from_raw(fit_raw: DipFit, accidental: float) -> DipFit:
-    """Ratio-form accidental correction: rescale S and V, keep sigma.
-
-    Kept for comparison; the preferred route is `subtract_floor` on the
-    curve before fitting.
-    """
-    if accidental < 0.0:
-        raise ValueError("accidental rate must be non-negative")
-    if accidental >= fit_raw.s:
-        raise ValueError("accidental rate must be below the baseline S")
-    s_net = fit_raw.s - accidental
-    v_net = fit_raw.visibility * fit_raw.s / s_net
-    if v_net > 1.0:
-        warnings.warn(f"net visibility {v_net:.4f} clamped to 1", stacklevel=2)
-        v_net = 1.0
-    return DipFit(s=s_net, visibility=v_net,
-                  sigma_tau_um=fit_raw.sigma_tau_um,
-                  covariance=fit_raw.covariance,
-                  residual_norm=fit_raw.residual_norm,
-                  iterations=fit_raw.iterations,
-                  converged=fit_raw.converged)
 
 
 def subtract_floor(curve: DipCurve, floor_hz: float) -> DipCurve:

@@ -63,7 +63,9 @@ def parse_config(data: dict, seed_override: Optional[int] = None
                         float(_require(filters, "signal_fwhm_nm", "filters")))
     herald = FilterSpec(float(_require(filters, "herald_nm", "filters")),
                         float(_require(filters, "herald_fwhm_nm", "filters")))
-    pump = FilterSpec(710.0, float(_require(filters, "pump_fwhm_nm", "filters")))
+    # energy conservation fixes the pump centre: 1/pump = 1/signal + 1/herald
+    pump = FilterSpec(1.0 / (1.0 / signal.center_nm + 1.0 / herald.center_nm),
+                      float(_require(filters, "pump_fwhm_nm", "filters")))
 
     det_entries = _require(data, "detectors", "config")
     if not isinstance(det_entries, list) or len(det_entries) != 4:
@@ -163,6 +165,15 @@ def cmd_analytic(args) -> int:
     return 0
 
 
+def _fit_report(curve: DipCurve) -> dict:
+    """Fit report of a curve; a fit that does not converge is reported,
+    not raised, so every command still writes its outputs."""
+    try:
+        return analysis.fit_dip(curve).to_dict()
+    except RuntimeError as exc:
+        return {"converged": False, "error": str(exc)}
+
+
 def cmd_scan(args) -> int:
     config_text = Path(args.config).read_text()
     cfg = parse_config(json.loads(config_text), seed_override=args.seed)
@@ -177,15 +188,13 @@ def cmd_scan(args) -> int:
     manifest_path = out_dir / "manifest.json"
     write_curve_csv(curve, curve_path)
 
-    fit_raw = analysis.fit_dip(curve)
-    report = {"raw": fit_raw.to_dict()}
+    report = {"raw": _fit_report(curve)}
     floor = runner.accidental_floor_hz(cfg)
     report["accidental_hz"] = floor
     if floor > 0.0:
-        fit_net = analysis.fit_dip(analysis.subtract_floor(curve, floor))
-        report["net"] = fit_net.to_dict()
+        report["net"] = _fit_report(analysis.subtract_floor(curve, floor))
     else:
-        report["net"] = fit_raw.to_dict()
+        report["net"] = report["raw"]
     _atomic_write(fit_path, json.dumps(report, indent=2) + "\n")
 
     manifest = {
@@ -198,18 +207,14 @@ def cmd_scan(args) -> int:
     }
     _atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     print(json.dumps({"out": str(out_dir),
-                      "V_raw": fit_raw.to_dict()["V"],
-                      "V_net": report["net"]["V"]}, indent=2))
+                      "V_raw": report["raw"].get("V"),
+                      "V_net": report["net"].get("V")}, indent=2))
     return 0
 
 
 def cmd_fit(args) -> int:
     curve = read_curve_csv(Path(args.csv))
-    try:
-        fit = analysis.fit_dip(curve)
-        print(json.dumps(fit.to_dict(), indent=2))
-    except RuntimeError as exc:
-        print(json.dumps({"converged": False, "error": str(exc)}, indent=2))
+    print(json.dumps(_fit_report(curve), indent=2))
     return 0
 
 

@@ -9,9 +9,8 @@ laser-clock gate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 GE_1310 = "Ge-1310"
 INGAAS_1310 = "InGaAs-1310"
@@ -40,12 +39,10 @@ class DetectorModel:
 class CoincidenceScheme:
     """3-fold (two 1310 detectors + clock) or 5-fold (all four + clock).
 
-    The laser clock is implicit: every gate is clock-aligned. The window
-    is informational bookkeeping only.
+    The laser clock is implicit: every gate is clock-aligned.
     """
 
     kind: str
-    window_ns: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("threefold", "fivefold"):
@@ -105,10 +102,3 @@ def accidental_rate(scheme: CoincidenceScheme,
         full *= s if d == 0.0 else 1.0 - (1.0 - s) * (1.0 - d)
         signal_only *= s
     return max(0.0, full - signal_only)
-
-
-def subtract_accidentals(raw: float, accidental: float) -> float:
-    """Net rate after removing the delay-independent background, floored at 0."""
-    if raw < 0.0 or accidental < 0.0:
-        raise ValueError("rates must be non-negative")
-    return max(0.0, raw - accidental)

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from . import fock
+from . import fock, optics
 from .fock import Mode, ModeRegistry, PureState
 
 
@@ -64,21 +63,9 @@ class SourceParams:
         return self.gamma ** 2
 
     @property
-    def g(self) -> float:
-        return math.log(math.cosh(self.zeta))
-
-    @property
     def pair_probability(self) -> float:
         """Probability P of one pair per pulse; defined as lambda."""
         return self.lam
-
-
-@dataclass(frozen=True)
-class PairCountSample:
-    """Pairs created in each source during one pulse."""
-
-    n1: int
-    n2: int
 
 
 def pair_number_distribution(params: SourceParams, n: int) -> float:
@@ -99,10 +86,7 @@ def pair_configuration_state(registry: ModeRegistry, n1: int, n2: int,
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("pair numbers must be non-negative")
-    m = complex(overlap)
-    if abs(m) > 1.0 + 1e-12:
-        raise ValueError("overlap amplitude must satisfy |m| <= 1")
-    ortho = math.sqrt(max(0.0, 1.0 - abs(m) ** 2))
+    m, ortho = optics.decompose_modes(overlap)
     state = PureState.vacuum(registry)
     if n1 > 0:
         state = fock.apply_creation(state, Mode("a", "matched", "H"), n1)
@@ -144,34 +128,13 @@ def joint_input_state(s1: SourceParams, s2: SourceParams, max_pairs: int,
     return PureState(registry, terms).normalized()
 
 
-def sample_pair_counts(s1: SourceParams, s2: SourceParams,
-                       rng: Union[int, np.random.Generator]
-                       ) -> PairCountSample:
-    """Draw one pulse's pair counts; geometric in each source.
-
-    Accepts either a seed or a Generator; a given seed always yields the
-    same sample on every platform.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    n1 = _sample_geometric(s1.lam, rng)
-    n2 = _sample_geometric(s2.lam, rng)
-    return PairCountSample(n1=n1, n2=n2)
-
-
-def _sample_geometric(lam: float, rng: np.random.Generator) -> int:
-    if lam == 0.0:
-        return 0
-    # numpy's geometric counts trials up to the first success.
-    return int(rng.geometric(1.0 - lam)) - 1
-
-
 def sample_pair_count_arrays(s1: SourceParams, s2: SourceParams, size: int,
                              rng: np.random.Generator):
-    """Vectorized pulse sampling used by the Monte Carlo runner."""
+    """Per-pulse pair counts of `size` pulses; geometric in each source."""
     def draw(lam):
         if lam == 0.0:
             return np.zeros(size, dtype=np.int64)
+        # numpy's geometric counts trials up to the first success.
         return rng.geometric(1.0 - lam, size=size).astype(np.int64) - 1
 
     return draw(s1.lam), draw(s2.lam)

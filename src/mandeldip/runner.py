@@ -1,20 +1,24 @@
 """Experiment engine: delay scans composed from source, optics, Fock and
 detector layers, plus the closed-form visibility benchmarks.
 
-Two execution modes produce `DipCurve`s over a delay grid:
+One engine computes the per-pulse coincidence probability p(delay):
+enumerate pair configurations (n1, n2) up to the truncation, propagate
+each through the beam splitter at the delay-dependent overlap, and sum
+detector click products over the output photon-count patterns. Two
+execution modes turn it into `DipCurve`s over a delay grid:
 
-* analytic -- exact expectation per pulse: enumerate pair configurations
-  (n1, n2) up to the truncation, propagate each through the beam
-  splitter at the delay-dependent overlap, and sum detector click
-  products over the output photon-count patterns.
-* mc -- stochastic counterpart: per pulse, sample pair counts, a
-  detection pattern from the propagated state, then detector clicks.
-  Every delay point uses its own seeded stream, so results are
-  bit-identical regardless of evaluation order.
+* analytic -- the expected rate, pulse rate times p(delay).
+* mc -- a seeded Binomial(N, p(delay)) draw of the coincidence count in
+  N pulses. This is exact, not an approximation: pulses are i.i.d., so
+  sampling pair counts, output patterns and clicks pulse by pulse gives
+  the same count distribution. Every delay point uses its own seeded
+  stream, so results are bit-identical regardless of evaluation order.
+  A per-pulse path is only needed again for an effect that couples
+  pulses, such as detector dead time, afterpulsing or pump drift across
+  a scan.
 
-Truncation convention: both modes condition on n1 + n2 <= max_pairs
-(analytic weights renormalized, Monte Carlo redraws), so they estimate
-the same quantity exactly.
+Truncation convention: pair configurations are conditioned on
+n1 + n2 <= max_pairs (probabilities renormalized), in both modes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -225,19 +229,27 @@ def _coincidence_weight(pattern: Tuple[int, ...], cfg: ExperimentConfig,
     return weight
 
 
-def _coincidence_prob_per_pulse(cfg: ExperimentConfig, delay_um: float,
-                                registry: fock.ModeRegistry,
-                                detectors: Mapping[str, DetectorModel]) -> float:
-    m = cfg.overlap_at(delay_um)
-    total = 0.0
+def _pattern_distribution(cfg: ExperimentConfig, overlap: float,
+                          registry: fock.ModeRegistry
+                          ) -> Iterator[Tuple[Tuple[int, ...], float]]:
+    """Yield (pattern, probability) over every truncated pair
+    configuration and its output photon-count patterns."""
     for n1, n2, p in _pair_configs(cfg):
         if p == 0.0:
             continue
-        patterns = _pattern_probs(n1, n2, m, registry)
-        for pattern, q in patterns.items():
-            w = _coincidence_weight(pattern, cfg, detectors)
-            if w > 0.0:
-                total += p * q * w
+        for pattern, q in _pattern_probs(n1, n2, overlap, registry).items():
+            yield pattern, p * q
+
+
+def _coincidence_prob_per_pulse(cfg: ExperimentConfig, delay_um: float,
+                                registry: fock.ModeRegistry,
+                                detectors: Mapping[str, DetectorModel]) -> float:
+    total = 0.0
+    for pattern, pq in _pattern_distribution(cfg, cfg.overlap_at(delay_um),
+                                             registry):
+        w = _coincidence_weight(pattern, cfg, detectors)
+        if w > 0.0:
+            total += pq * w
     return total
 
 
@@ -260,51 +272,21 @@ def _mc_point(cfg: ExperimentConfig, point_index: int,
               detectors: Mapping[str, DetectorModel]) -> Tuple[float, float]:
     """Simulate one delay point; returns (rate_hz, error_hz).
 
-    Sampling is hierarchical but distribution-exact: pair counts per
-    pulse, then a multinomial over output patterns per configuration,
-    then binomial detector thinning with the pattern's click product.
+    The coincidence count is one draw of Binomial(N, p(delay)) with p the
+    analytic per-pulse probability. Pulses are i.i.d., so this is the
+    exact distribution of the per-pulse chain (pair counts, output
+    pattern, detector clicks) summed over N pulses, at a cost that does
+    not depend on N. Dead time, afterpulsing or pump drift across a scan
+    would couple pulses and need a per-pulse path again.
     """
     if cfg.small_eta:
         raise ValueError("Monte Carlo mode requires finite efficiencies")
-    delay = cfg.delays_um[point_index]
-    m = cfg.overlap_at(delay)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(point_index,))))
     n_pulses = cfg.pulses_per_point
-    n1, n2 = pdc.sample_pair_count_arrays(cfg.source1, cfg.source2,
-                                          n_pulses, rng)
-    # Condition on the truncation (matches the analytic renormalization).
-    over = n1 + n2 > cfg.max_pairs
-    while over.any():
-        r1, r2 = pdc.sample_pair_count_arrays(cfg.source1, cfg.source2,
-                                              int(over.sum()), rng)
-        n1[over], n2[over] = r1, r2
-        over = n1 + n2 > cfg.max_pairs
-
-    coincidences = 0
-    base = cfg.max_pairs + 1
-    group_counts = np.bincount(n1 * base + n2, minlength=base * base)
-    for code in range(base * base):
-        n_group = int(group_counts[code])
-        if n_group == 0:
-            continue
-        k1, k2 = divmod(code, base)
-        patterns = _pattern_probs(k1, k2, m, registry)
-        keys = sorted(patterns)
-        probs = np.array([patterns[k] for k in keys])
-        probs = probs / probs.sum()
-        draws = rng.multinomial(n_group, probs)
-        for key, n_pat in zip(keys, draws):
-            if n_pat == 0:
-                continue
-            p_click = 1.0
-            for group, n in zip(_GROUP_ORDER, key):
-                role = _ROLE_OF_GROUP[group]
-                if role in cfg.scheme.roles:
-                    p_click *= detect.click_probability(n, detectors[role])
-            if p_click > 0.0:
-                coincidences += int(rng.binomial(int(n_pat), p_click))
-    p_hat = coincidences / n_pulses
+    p = _coincidence_prob_per_pulse(cfg, cfg.delays_um[point_index],
+                                    registry, detectors)
+    p_hat = int(rng.binomial(n_pulses, p)) / n_pulses
     rate = p_hat * cfg.pulse_rate_hz
     err = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_pulses) * cfg.pulse_rate_hz
     return rate, err
@@ -334,14 +316,11 @@ def signal_singles_probabilities(cfg: ExperimentConfig) -> Dict[str, float]:
     nodark = {role: DetectorModel(d.name, eta=d.eta, dark_prob=0.0)
               for role, d in detectors.items()}
     singles = {role: 0.0 for role in cfg.scheme.roles}
-    for n1, n2, p in _pair_configs(cfg):
-        patterns = _pattern_probs(n1, n2, 0.0, registry)
-        for pattern, q in patterns.items():
-            for group, n in zip(_GROUP_ORDER, pattern):
-                role = _ROLE_OF_GROUP[group]
-                if role in singles:
-                    singles[role] += p * q * detect.click_probability(
-                        n, nodark[role])
+    for pattern, pq in _pattern_distribution(cfg, 0.0, registry):
+        for group, n in zip(_GROUP_ORDER, pattern):
+            role = _ROLE_OF_GROUP[group]
+            if role in singles:
+                singles[role] += pq * detect.click_probability(n, nodark[role])
     return singles
 
 

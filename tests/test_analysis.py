@@ -113,23 +113,6 @@ def test_visibility_ratio():
         analysis.visibility(1.0, 2.0)
 
 
-def test_net_from_raw_identity_and_ratio_form():
-    sigma = 100.0
-    fit = fit_dip(synthetic_curve(160.0, 0.28, sigma))
-    assert analysis.net_from_raw(fit, 0.0).visibility == fit.visibility
-
-    raw = DipFit(s=0.075, visibility=0.77, sigma_tau_um=sigma,
-                 covariance=((0.0,) * 3,) * 3, residual_norm=0.0,
-                 iterations=1, converged=True)
-    net = analysis.net_from_raw(raw, 0.015)
-    # ratio form overshoots the measured 84%: the lab's subtraction is
-    # point-wise on the curve, which the default pipeline uses instead
-    assert net.visibility == pytest.approx(0.9625, abs=1e-4)
-    assert net.sigma_tau_um == raw.sigma_tau_um
-    with pytest.raises(ValueError):
-        analysis.net_from_raw(raw, 0.08)
-
-
 def test_pointwise_floor_subtraction_recovers_truth():
     sigma = 142.0 / FWHM_PER_SIGMA
     true = synthetic_curve(160.0, 0.28, sigma)
@@ -154,6 +137,14 @@ def test_floor_subtraction_preserves_sigma():
         assert fit_net.sigma_tau_um == pytest.approx(fit_raw.sigma_tau_um,
                                                      abs=1e-8 * sigma)
         assert fit_net.visibility > fit_raw.visibility
+
+
+def test_subtract_floor_clamps_at_zero():
+    raw = DipCurve(delays_um=(0.0, 1.0), rates_hz=(10.0, 2.0),
+                   errors_hz=(1.0, 1.0), mode="data")
+    assert analysis.subtract_floor(raw, 3.0).rates_hz == (7.0, 0.0)
+    with pytest.raises(ValueError):
+        analysis.subtract_floor(raw, -1.0)
 
 
 def test_fit_on_seeded_mc_curve():

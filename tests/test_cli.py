@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mandeldip import cli
+from mandeldip import analysis, cli
 from mandeldip.analysis import dip_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -104,6 +107,47 @@ def test_scan_mc_mode_and_seed_override(tmp_path):
     assert (out_a / "curve.csv").read_text() == (out_b / "curve.csv").read_text()
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["seed"] == 123
+
+
+def test_scan_writes_reports_when_fit_raises(tmp_path, monkeypatch):
+    def no_convergence(curve):
+        raise RuntimeError("dip fit did not converge")
+
+    monkeypatch.setattr(analysis, "fit_dip", no_convergence)
+    cfg = base_config(small_eta=False,
+                      detectors=[{"eta": 0.1, "dark_prob": 1e-4}] * 4)
+    cfg_path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert cli.main(["scan", str(cfg_path), "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "fit.json").read_text())
+    assert report["raw"]["converged"] is False
+    assert report["net"]["converged"] is False
+    assert "error" in report["raw"]
+    assert (out_dir / "manifest.json").is_file()
+
+
+def test_scan_fivefold_pump_follows_signal_and_herald(tmp_path):
+    cfg = base_config(scheme="fivefold",
+                      delays={"min_um": -300, "max_um": 300, "step_um": 30})
+    cfg["filters"]["signal_nm"] = 810
+    cfg_path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert cli.main(["scan", str(cfg_path), "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "fit.json").read_text())["net"]["converged"]
+
+
+def test_module_entry_point_prints_no_runtime_warning():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mandeldip.cli", "analytic", "-P", "0.04"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["V_threefold"] == pytest.approx(1 / 3,
+                                                                 abs=1e-6)
 
 
 def test_scan_empty_delay_grid_fails(tmp_path, capsys):

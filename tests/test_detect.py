@@ -107,13 +107,6 @@ def test_lab_scale_raw_visibility_band():
     assert 0.21 <= v_raw <= 0.25
 
 
-def test_subtract_accidentals_floor():
-    assert detect.subtract_accidentals(10.0, 3.0) == 7.0
-    assert detect.subtract_accidentals(2.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        detect.subtract_accidentals(-1.0, 0.0)
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         DetectorModel("x", eta=1.5)

@@ -1,10 +1,14 @@
+import dataclasses
+import json
 import math
 import random
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mandeldip import analysis, runner
+from mandeldip import analysis, cli, runner
 from mandeldip.detect import CoincidenceScheme, DetectorModel
 from mandeldip.pdc import SourceParams
 from mandeldip.runner import ExperimentConfig
@@ -189,6 +193,24 @@ def test_mc_agrees_with_analytic():
         mu = r_an / cfg.pulse_rate_hz * n
         k = r_mc / cfg.pulse_rate_hz * n
         assert abs(k - mu) <= 4 * math.sqrt(max(mu, 1.0))
+
+
+def test_mc_paper_scale_pulse_count():
+    # hours at 76 MHz: a per-pulse sampler cannot hold 1e12 pulses, while
+    # one binomial draw per point costs the same at any pulse count
+    lab = Path(__file__).resolve().parent.parent / "configs" / "lab_fivefold.json"
+    cfg = dataclasses.replace(cli.parse_config(json.loads(lab.read_text())),
+                              pulses_per_point=10 ** 12)
+    t0 = time.perf_counter()
+    mc = runner.dip_curve_mc(cfg)
+    assert time.perf_counter() - t0 < 10.0
+    an = runner.dip_curve_analytic(cfg)
+    n = cfg.pulses_per_point
+    for r_mc, r_an in zip(mc.rates_hz, an.rates_hz):
+        k = r_mc / cfg.pulse_rate_hz * n
+        mu = r_an / cfg.pulse_rate_hz * n
+        assert abs(k - round(k)) < 1e-3
+        assert abs(k - mu) <= 4 * math.sqrt(mu)
 
 
 def test_mc_error_scaling():
