@@ -32,6 +32,7 @@ class DipFit:
     residual_norm: float
     iterations: int
     converged: bool
+    clamped: bool = False  # fitted V fell outside [0, 1] and was clamped
 
     def __post_init__(self):
         if self.s <= 0:
@@ -54,6 +55,7 @@ class DipFit:
             "residual": self.residual_norm,
             "iterations": self.iterations,
             "converged": self.converged,
+            "clamped": self.clamped,
         }
 
 
@@ -102,8 +104,10 @@ def fit_dip(curve: DipCurve,
 
     Weights are 1/error^2 when every point carries an error bar, uniform
     otherwise. Converges when the relative parameter change drops below
-    `tol`; raises on non-convergence. A flat curve pins V at 0 with a
-    warning instead of fitting a degenerate width.
+    `tol`; raises on non-convergence. A fitted V outside [0, 1] is
+    clamped into it with a warning and reported as `clamped`. A flat
+    curve pins V at 0 with a warning instead of fitting a degenerate
+    width.
     """
     tau = np.asarray(curve.delays_um, dtype=float)
     y = np.asarray(curve.rates_hz, dtype=float)
@@ -188,7 +192,8 @@ def fit_dip(curve: DipCurve,
             f"dip fit did not converge in {max_iterations} iterations")
 
     s, v, sigma = float(p[0]), float(p[1]), abs(float(p[2]))
-    if v < 0.0 or v > 1.0:
+    clamped = v < 0.0 or v > 1.0
+    if clamped:
         warnings.warn(f"fitted visibility {v:.4f} clamped into [0, 1]",
                       stacklevel=2)
         v = min(max(v, 0.0), 1.0)
@@ -203,7 +208,7 @@ def fit_dip(curve: DipCurve,
     return DipFit(s=s, visibility=v, sigma_tau_um=sigma,
                   covariance=tuple(tuple(float(x) for x in row) for row in cov),
                   residual_norm=math.sqrt(current),
-                  iterations=iterations, converged=True)
+                  iterations=iterations, converged=True, clamped=clamped)
 
 
 def visibility(od_rate: float, id_rate: float) -> float:

@@ -3,9 +3,29 @@ detector layers, plus the closed-form visibility benchmarks.
 
 One engine computes the per-pulse coincidence probability p(delay):
 enumerate pair configurations (n1, n2) up to the truncation, propagate
-each through the beam splitter at the delay-dependent overlap, and sum
-detector click products over the output photon-count patterns. Two
-execution modes turn it into `DipCurve`s over a delay grid:
+each through the beam splitter, and sum detector click products over the
+output photon-count patterns.
+
+The delay enters only through the overlap x = |m(delay)|^2, and every
+output-pattern probability is a polynomial in x of degree <= max_pairs:
+each source-2 photon is m*b(matched) + sqrt(1-x)*b(orthogonal), so the
+n2-photon state splits by matched-photon number k with weights
+C(n2, k) x^k (1-x)^(n2-k), and terms of different k stay orthogonal
+through the beam splitter, which does not mix temporal sublabels. The
+degree is lower still. The probability of an input of partially
+distinguishable photons is a sum over permutations pairing the photons,
+each weighted by the product of the internal-state overlaps it pairs.
+Only a source-1 photon paired with a source-2 photon contributes m (or
+m*), and a permutation sends as many source-1 photons to source-2 ones as
+back, at most min(n1, n2) each way. So the degree is at most
+min(n1, n2) <= max_pairs // 2.
+
+A scan therefore evaluates the Fock layer exactly at max_pairs // 2 + 1
+Chebyshev nodes of [0, 1] (which keep the Vandermonde solve well
+conditioned), solves for the coefficients, and evaluates the one
+detector-weighted polynomial over the whole delay grid with
+`np.polyval`. Its Fock cost does not depend on the grid size. Two
+execution modes turn p(delay) into `DipCurve`s:
 
 * analytic -- the expected rate, pulse rate times p(delay).
 * mc -- a seeded Binomial(N, p(delay)) draw of the coincidence count in
@@ -116,14 +136,15 @@ class ExperimentConfig:
             return optics.coherence_length(eff)
         return optics.coherence_length(self.signal_filter)
 
-    def overlap_at(self, delay_um: float) -> float:
-        ctx = DistinguishabilityContext(
-            delay_um=delay_um,
-            coherence_length_um=self.coherence_length_um(),
+    def overlaps_sq(self) -> np.ndarray:
+        """Overlap |m|^2 at every delay point of the grid."""
+        l_c = self.coherence_length_um()
+        return np.array([optics.overlap_amplitude(DistinguishabilityContext(
+            delay_um=d,
+            coherence_length_um=l_c,
             polarization_angle_rad=self.polarization_angle_rad,
             spectral_mismatch=self.spectral_mismatch,
-        )
-        return optics.overlap_amplitude(ctx)
+        )) for d in self.delays_um]) ** 2
 
     def digest(self) -> str:
         """Stable content hash of the configuration."""
@@ -241,51 +262,71 @@ def _pattern_distribution(cfg: ExperimentConfig, overlap: float,
             yield pattern, p * q
 
 
-def _coincidence_prob_per_pulse(cfg: ExperimentConfig, delay_um: float,
-                                registry: fock.ModeRegistry,
-                                detectors: Mapping[str, DetectorModel]) -> float:
-    total = 0.0
-    for pattern, pq in _pattern_distribution(cfg, cfg.overlap_at(delay_um),
-                                             registry):
-        w = _coincidence_weight(pattern, cfg, detectors)
-        if w > 0.0:
-            total += pq * w
-    return total
+def _pattern_polynomials(cfg: ExperimentConfig, registry: fock.ModeRegistry
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """Output patterns (K, 4) over (c, d, herald1, herald2) and their
+    probabilities as polynomials in x = |m|^2: coefficients
+    (K, max_pairs // 2 + 1), highest power first as `np.polyval` takes
+    them.
+
+    The distribution is evaluated exactly at max_pairs // 2 + 1
+    Chebyshev nodes of [0, 1]; its degree is at most max_pairs // 2 (see
+    the module docstring), so the polynomial through those values is the
+    distribution itself.
+    """
+    n = cfg.max_pairs // 2 + 1
+    nodes = 0.5 - 0.5 * np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
+    values: Dict[Tuple[int, ...], List[float]] = {}
+    for j, x in enumerate(nodes):
+        for pattern, pq in _pattern_distribution(cfg, math.sqrt(x), registry):
+            if pattern not in values:
+                values[pattern] = [0.0] * n
+            values[pattern][j] += pq
+    patterns = np.array(list(values), dtype=np.int64).reshape(-1, 4)
+    coeffs = np.linalg.solve(np.vander(nodes, n),
+                             np.array(list(values.values())).T).T
+    return patterns, coeffs
+
+
+def _coincidence_probs(cfg: ExperimentConfig) -> np.ndarray:
+    """Per-pulse coincidence probability p(delay) at every grid point."""
+    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
+    detectors = cfg.effective_detectors()
+    patterns, coeffs = _pattern_polynomials(cfg, registry)
+    w = np.array([_coincidence_weight(pattern, cfg, detectors)
+                  for pattern in patterns.tolist()])
+    # rounding can leave an exact zero (a perfect post-selected dip) a few
+    # ulps below it
+    return np.maximum(np.polyval(w @ coeffs, cfg.overlaps_sq()), 0.0)
 
 
 def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
     """Closed-form expected coincidence rate at every delay point."""
-    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
-    detectors = cfg.effective_detectors()
-    rates = [cfg.pulse_rate_hz
-             * _coincidence_prob_per_pulse(cfg, d, registry, detectors)
-             for d in cfg.delays_um]
+    rates = cfg.pulse_rate_hz * _coincidence_probs(cfg)
     return DipCurve(delays_um=tuple(cfg.delays_um),
-                    rates_hz=tuple(rates),
+                    rates_hz=tuple(rates.tolist()),
                     errors_hz=(0.0,) * len(cfg.delays_um),
                     scheme=cfg.scheme.kind, mode="analytic",
                     config_digest=cfg.digest())
 
 
 def _mc_point(cfg: ExperimentConfig, point_index: int,
-              registry: fock.ModeRegistry,
-              detectors: Mapping[str, DetectorModel]) -> Tuple[float, float]:
-    """Simulate one delay point; returns (rate_hz, error_hz).
+              p: float) -> Tuple[float, float]:
+    """Simulate one delay point of per-pulse probability p; returns
+    (rate_hz, error_hz).
 
-    The coincidence count is one draw of Binomial(N, p(delay)) with p the
-    analytic per-pulse probability. Pulses are i.i.d., so this is the
-    exact distribution of the per-pulse chain (pair counts, output
-    pattern, detector clicks) summed over N pulses, at a cost that does
-    not depend on N. Dead time, afterpulsing or pump drift across a scan
-    would couple pulses and need a per-pulse path again.
+    The coincidence count is one draw of Binomial(N, p). Pulses are
+    i.i.d., so this is the exact distribution of the per-pulse chain
+    (pair counts, output pattern, detector clicks) summed over N pulses,
+    at a cost that does not depend on N. Dead time, afterpulsing or pump
+    drift across a scan would couple pulses and need a per-pulse path
+    again.
     """
     if cfg.small_eta:
         raise ValueError("Monte Carlo mode requires finite efficiencies")
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(point_index,))))
     n_pulses = cfg.pulses_per_point
-    p = _coincidence_prob_per_pulse(cfg, cfg.delays_um[point_index],
-                                    registry, detectors)
     p_hat = int(rng.binomial(n_pulses, p)) / n_pulses
     rate = p_hat * cfg.pulse_rate_hz
     err = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_pulses) * cfg.pulse_rate_hz
@@ -294,16 +335,11 @@ def _mc_point(cfg: ExperimentConfig, point_index: int,
 
 def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
     """Monte Carlo delay scan; deterministic per (seed, point index)."""
-    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
-    detectors = cfg.effective_detectors()
-    rates, errors = [], []
-    for i in range(len(cfg.delays_um)):
-        rate, err = _mc_point(cfg, i, registry, detectors)
-        rates.append(rate)
-        errors.append(err)
+    points = [_mc_point(cfg, i, p)
+              for i, p in enumerate(_coincidence_probs(cfg).tolist())]
     return DipCurve(delays_um=tuple(cfg.delays_um),
-                    rates_hz=tuple(rates),
-                    errors_hz=tuple(errors),
+                    rates_hz=tuple(r for r, _ in points),
+                    errors_hz=tuple(e for _, e in points),
                     scheme=cfg.scheme.kind, mode="mc",
                     config_digest=cfg.digest())
 

@@ -126,10 +126,9 @@ def test_08_mc_matches_analytic_and_is_deterministic():
         assert pull <= 4.0
 
     # point-order independence stands in for thread-count independence
-    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
-    detectors = cfg.effective_detectors()
+    probs = runner._coincidence_probs(cfg)
     for idx in (4, 0, 8, 2):
-        rate, _ = runner._mc_point(cfg, idx, registry, detectors)
+        rate, _ = runner._mc_point(cfg, idx, probs[idx])
         assert rate == mc.rates_hz[idx]
     report(8, "worst MC pull (sigma)", f"{worst:.2f}")
 

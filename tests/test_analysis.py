@@ -55,6 +55,24 @@ def test_flat_curve_pins_visibility_at_zero():
     assert fit.s == pytest.approx(42.0)
 
 
+def test_clamped_visibility_is_reported():
+    # V = 1.1 drives the dip below zero at its centre; the grid skips
+    # |tau| < sigma / 2 so every rate stays non-negative
+    sigma = 60.0
+    half = np.linspace(0.5 * sigma, 5 * sigma, 20)
+    curve = synthetic_curve(100.0, 1.1, sigma,
+                            delays=np.concatenate([-half[::-1], half]))
+    with pytest.warns(UserWarning, match="clamped"):
+        fit = fit_dip(curve)
+    assert fit.visibility == 1.0
+    assert fit.clamped
+    assert fit.to_dict()["clamped"] is True
+    assert fit.to_dict()["V"] == 1.0
+
+    normal = fit_dip(synthetic_curve(160.0, 0.28, 142.0 / FWHM_PER_SIGMA))
+    assert normal.to_dict()["clamped"] is False
+
+
 def test_too_few_points_rejected():
     curve = DipCurve(delays_um=(-10.0, 0.0, 10.0), rates_hz=(1.0, 0.5, 1.0),
                      errors_hz=(0.0,) * 3, mode="data")

@@ -182,6 +182,22 @@ def test_fit_roundtrip(tmp_path, capsys):
     assert out["fwhm_um"] == pytest.approx(142.0, rel=1e-6)
 
 
+def test_fit_reports_clamped_visibility(tmp_path, capsys):
+    sigma = 60.0
+    half = np.linspace(0.5 * sigma, 5 * sigma, 20)
+    delays = np.concatenate([-half[::-1], half])
+    rates = dip_model(delays, 100.0, 1.1, sigma)
+    lines = ["delay_um,rate_hz,err_hz"]
+    lines += [f"{d!r},{r!r},0" for d, r in zip(delays.tolist(), rates.tolist())]
+    csv_path = tmp_path / "curve.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.warns(UserWarning, match="clamped"):
+        assert cli.main(["fit", str(csv_path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["V"] == 1.0
+    assert out["clamped"] is True
+
+
 def test_fit_three_points_is_an_error(tmp_path, capsys):
     csv_path = tmp_path / "short.csv"
     csv_path.write_text("delay_um,rate_hz,err_hz\n-10,1,0\n0,0.5,0\n10,1,0\n")

@@ -8,13 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mandeldip import analysis, cli, runner
+from mandeldip import analysis, cli, fock, optics, pdc, runner
 from mandeldip.detect import CoincidenceScheme, DetectorModel
+from mandeldip.optics import DistinguishabilityContext
 from mandeldip.pdc import SourceParams
 from mandeldip.runner import ExperimentConfig
 
 P04 = SourceParams.from_pair_probability(0.04)
 FAR = 1e5  # um, far outside any dip
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_config(scheme="threefold", *, P=0.04, delays=None, small_eta=True,
@@ -173,12 +175,10 @@ def test_mc_deterministic_and_order_independent():
     again = runner.dip_curve_mc(cfg)
     assert curve.rates_hz == again.rates_hz
 
-    from mandeldip import fock
-    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
-    detectors = cfg.effective_detectors()
+    probs = runner._coincidence_probs(cfg)
     order = list(range(len(cfg.delays_um)))
     random.Random(0).shuffle(order)
-    shuffled = {i: runner._mc_point(cfg, i, registry, detectors) for i in order}
+    shuffled = {i: runner._mc_point(cfg, i, probs[i]) for i in order}
     for i in range(len(cfg.delays_um)):
         assert shuffled[i][0] == curve.rates_hz[i]
 
@@ -198,7 +198,7 @@ def test_mc_agrees_with_analytic():
 def test_mc_paper_scale_pulse_count():
     # hours at 76 MHz: a per-pulse sampler cannot hold 1e12 pulses, while
     # one binomial draw per point costs the same at any pulse count
-    lab = Path(__file__).resolve().parent.parent / "configs" / "lab_fivefold.json"
+    lab = CONFIG_DIR / "lab_fivefold.json"
     cfg = dataclasses.replace(cli.parse_config(json.loads(lab.read_text())),
                               pulses_per_point=10 ** 12)
     t0 = time.perf_counter()
@@ -235,3 +235,69 @@ def test_accidental_floor_only_with_darks():
             for role, d in runner.default_detectors().items()}
     clean = make_config(small_eta=False, detectors=dets)
     assert runner.accidental_floor_hz(clean) == 0.0
+
+
+def pointwise_rates(cfg):
+    """Reference engine: the full pattern distribution at each point's
+    own overlap, weighted by the detectors and summed."""
+    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
+    detectors = cfg.effective_detectors()
+    rates = []
+    for d in cfg.delays_um:
+        m = optics.overlap_amplitude(DistinguishabilityContext(
+            delay_um=d, coherence_length_um=cfg.coherence_length_um(),
+            polarization_angle_rad=cfg.polarization_angle_rad,
+            spectral_mismatch=cfg.spectral_mismatch))
+        p = sum(pq * runner._coincidence_weight(pattern, cfg, detectors)
+                for pattern, pq in runner._pattern_distribution(cfg, m, registry))
+        rates.append(cfg.pulse_rate_hz * p)
+    return rates
+
+
+@pytest.mark.parametrize("name", ["ideal_threefold", "ideal_fivefold",
+                                  "lab_fivefold"])
+def test_polynomial_engine_matches_pointwise_sum(name):
+    base = cli.parse_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    zero = SourceParams(zeta=0.0)
+    variants = [dict(max_pairs=k, small_eta=eta)
+                for k in (3, 4, 5, 6) for eta in (True, False)]
+    variants += [dict(source1=zero), dict(source2=zero)]
+    for variant in variants:
+        # every fifth point keeps the reference quick and still spans
+        # the dip from its centre to the baseline
+        cfg = dataclasses.replace(base, delays_um=base.delays_um[::5], **variant)
+        got = runner.dip_curve_analytic(cfg).rates_hz
+        for g, r in zip(got, pointwise_rates(cfg)):
+            assert abs(g - r) <= 1e-12 * r, (variant, g, r)
+
+
+def test_analytic_fock_passes_do_not_grow_with_grid(monkeypatch):
+    calls = []
+    real = pdc.pair_configuration_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pdc, "pair_configuration_state", counting)
+    counts = []
+    for n in (31, 201):
+        calls.clear()
+        runner.dip_curve_analytic(make_config(delays=np.linspace(-300, 300, n)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_perfect_post_selected_dip_stays_non_negative():
+    # fivefold at two pairs post-selects the one interfering term, so the
+    # centre rate is exactly zero; rounding must not push it below
+    dets = {role: DetectorModel(role, eta=d.eta, dark_prob=0.0)
+            for role, d in runner.default_detectors().items()}
+    for p in (0.01, 0.04, 0.1, 0.2):
+        for small_eta in (True, False):
+            cfg = make_config("fivefold", P=p, delays=(0.0, FAR), max_pairs=2,
+                              small_eta=small_eta, detectors=dets)
+            center, far = runner.dip_curve_analytic(cfg).rates_hz
+            assert 0.0 <= center <= 1e-12 * far
+            if not small_eta:
+                assert runner.dip_curve_mc(cfg).rates_hz[0] == 0.0
