@@ -197,6 +197,8 @@ def fit_dip(curve: DipCurve,
         warnings.warn(f"fitted visibility {v:.4f} clamped into [0, 1]",
                       stacklevel=2)
         v = min(max(v, 0.0), 1.0)
+        # residual and covariance scale belong to the reported parameters
+        current = cost((s, v, sigma))
 
     jac = dip_jacobian(tau, s, v, sigma) * w[:, None]
     h = jac.T @ jac

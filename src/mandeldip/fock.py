@@ -205,6 +205,29 @@ def apply_superposed_creation(state: PureState,
     return result
 
 
+def beamsplitter_amplitudes(na: int, nb: int) -> Dict[Tuple[int, int], complex]:
+    """Output amplitudes of the two-mode basis state |na, nb> on the 50-50
+    beam splitter: {(kc, kd): <kc, kd| U |na, nb>} with kc + kd = na + nb.
+
+    Expands (a_dag)^na (b_dag)^nb / sqrt(na! nb!) in the output creation
+    operators; the ket factor sqrt(kc! kd!) turns each monomial into a
+    normalized basis vector. Outputs that interfere away (such as
+    |1,1> -> |1,1>) are kept, with amplitude zero up to rounding.
+    """
+    if na < 0 or nb < 0:
+        raise ValueError("photon numbers must be non-negative")
+    combos: Dict[Tuple[int, int], complex] = defaultdict(complex)
+    pref = _SQRT_HALF ** (na + nb) / math.sqrt(
+        math.factorial(na) * math.factorial(nb))
+    for j in range(na + 1):
+        ca = math.comb(na, j) * (1j) ** (na - j)
+        for k in range(nb + 1):
+            cb = math.comb(nb, k) * (1j) ** k
+            combos[(j + k, na + nb - j - k)] += pref * ca * cb
+    return {(kc, kd): coeff * math.sqrt(math.factorial(kc) * math.factorial(kd))
+            for (kc, kd), coeff in combos.items()}
+
+
 def apply_beamsplitter(state: PureState,
                        in_modes: Tuple[str, str] = ("a", "b"),
                        out_modes: Tuple[str, str] = ("c", "d")) -> PureState:
@@ -247,20 +270,10 @@ def apply_beamsplitter(state: PureState,
                     f"registry lacks output modes for sublabel "
                     f"({temporal}, {pol})")
             ci, di = reg.index(c_mode), reg.index(d_mode)
-            combos: Dict[Tuple[int, int], complex] = defaultdict(complex)
-            pref = _SQRT_HALF ** (na + nb) / math.sqrt(
-                math.factorial(na) * math.factorial(nb))
-            for j in range(na + 1):
-                ca = math.comb(na, j) * (1j) ** (na - j)
-                for k in range(nb + 1):
-                    cb = math.comb(nb, k) * (1j) ** k
-                    kc, kd = j + k, na + nb - j - k
-                    combos[(kc, kd)] += pref * ca * cb
+            kets = beamsplitter_amplitudes(na, nb)
             next_partials: Dict[Tuple[int, ...], complex] = defaultdict(complex)
             for pocc, pamp in partials.items():
-                for (kc, kd), coeff in combos.items():
-                    ket = coeff * math.sqrt(
-                        math.factorial(kc) * math.factorial(kd))
+                for (kc, kd), ket in kets.items():
                     occ2 = list(pocc)
                     occ2[ci] += kc
                     occ2[di] += kd

@@ -2,29 +2,28 @@
 detector layers, plus the closed-form visibility benchmarks.
 
 One engine computes the per-pulse coincidence probability p(delay):
-enumerate pair configurations (n1, n2) up to the truncation, propagate
-each through the beam splitter, and sum detector click products over the
+enumerate pair configurations (n1, n2) up to the truncation, split each
+through the beam splitter, and sum detector click products over the
 output photon-count patterns.
 
-The delay enters only through the overlap x = |m(delay)|^2, and every
-output-pattern probability is a polynomial in x of degree <= max_pairs:
-each source-2 photon is m*b(matched) + sqrt(1-x)*b(orthogonal), so the
-n2-photon state splits by matched-photon number k with weights
-C(n2, k) x^k (1-x)^(n2-k), and terms of different k stay orthogonal
-through the beam splitter, which does not mix temporal sublabels. The
-degree is lower still. The probability of an input of partially
-distinguishable photons is a sum over permutations pairing the photons,
-each weighted by the product of the internal-state overlaps it pairs.
-Only a source-1 photon paired with a source-2 photon contributes m (or
-m*), and a permutation sends as many source-1 photons to source-2 ones as
-back, at most min(n1, n2) each way. So the degree is at most
-min(n1, n2) <= max_pairs // 2.
+The delay enters only through the overlap x = |m(delay)|^2. Each
+source-2 photon is m*b(matched) + sqrt(1-x)*b(orthogonal), so the
+n2-photon input splits by k, the number of source-2 photons in the
+matched wave packet, into |n1, k> on the matched sublabel and
+|0, n2 - k> on the orthogonal one, with weight C(n2, k) x^k (1-x)^(n2-k).
+The beam splitter never mixes sublabels and conserves the photon number
+of each, so terms of different k stay orthogonal, and within one k the
+two sublabels split independently by the closed-form two-mode amplitudes
+of `fock.beamsplitter_amplitudes`. The heralds stay at (n1, n2). Every
+output pattern's probability is therefore the binomial mixture over k of
+products of two two-mode splits, and no Fock state is built.
 
-A scan therefore evaluates the Fock layer exactly at max_pairs // 2 + 1
-Chebyshev nodes of [0, 1] (which keep the Vandermonde solve well
-conditioned), solves for the coefficients, and evaluates the one
-detector-weighted polynomial over the whole delay grid with
-`np.polyval`. Its Fock cost does not depend on the grid size. Two
+A scan weighs each distinct pattern once by the detectors, sums the
+weighted rows into one coefficient c(n2, k), and evaluates
+sum c(n2, k) C(n2, k) x^k (1-x)^(n2-k) over the delay grid. Every term is
+non-negative, so no rounding can push a perfect post-selected dip below
+zero, and the table's cost does not depend on the grid size. The accidental floor's
+singles are the overlap-0 value of the same table: its k = 0 rows. Two
 execution modes turn p(delay) into `DipCurve`s:
 
 * analytic -- the expected rate, pulse rate times p(delay).
@@ -46,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Tuple
 
@@ -216,15 +216,27 @@ def _pair_configs(cfg: ExperimentConfig) -> List[Tuple[int, int, float]]:
     return [(n1, n2, p / z) for n1, n2, p in raw]
 
 
-def _pattern_probs(n1: int, n2: int, overlap: float,
-                   registry: fock.ModeRegistry) -> Dict[Tuple[int, ...], float]:
-    """Output photon-count pattern distribution over (c, d, herald1, herald2)."""
-    if n1 == 0 and n2 == 0:
-        return {(0, 0, 0, 0): 1.0}
-    state = pdc.pair_configuration_state(registry, n1, n2, overlap)
-    out = fock.apply_beamsplitter(state)
-    grouping = fock.spatial_grouping(registry, _GROUP_ORDER)
-    return fock.mode_probabilities(out, grouping)
+def _pattern_table(cfg: ExperimentConfig
+                   ) -> Iterator[Tuple[int, int, Tuple[int, ...], float]]:
+    """Yield (n2, k, pattern, prob) over every truncated pair configuration
+    (n1, n2), matched source-2 photon number k and output pattern
+    (c, d, herald1, herald2). `prob` leaves out the k-mixture weight
+    C(n2, k) x^k (1-x)^(n2-k) (see the module docstring)."""
+    # |kc-amplitude|^2 of every two-mode split |na, nb> a scan can need;
+    # splits that interfere away are dropped
+    splits = {(na, nb): [(kc, abs(a) ** 2) for (kc, _), a
+                         in fock.beamsplitter_amplitudes(na, nb).items()
+                         if abs(a) > fock.PRUNE_THRESHOLD]
+              for na in range(cfg.max_pairs + 1)
+              for nb in range(cfg.max_pairs + 1 - na)}
+    for n1, n2, p in _pair_configs(cfg):
+        if p == 0.0:
+            continue
+        for k in range(n2 + 1):
+            for j, q_matched in splits[n1, k]:
+                for o, q_ortho in splits[0, n2 - k]:
+                    yield (n2, k, (j + o, n1 + n2 - j - o, n1, n2),
+                           p * q_matched * q_ortho)
 
 
 def _coincidence_weight(pattern: Tuple[int, ...], cfg: ExperimentConfig,
@@ -250,54 +262,20 @@ def _coincidence_weight(pattern: Tuple[int, ...], cfg: ExperimentConfig,
     return weight
 
 
-def _pattern_distribution(cfg: ExperimentConfig, overlap: float,
-                          registry: fock.ModeRegistry
-                          ) -> Iterator[Tuple[Tuple[int, ...], float]]:
-    """Yield (pattern, probability) over every truncated pair
-    configuration and its output photon-count patterns."""
-    for n1, n2, p in _pair_configs(cfg):
-        if p == 0.0:
-            continue
-        for pattern, q in _pattern_probs(n1, n2, overlap, registry).items():
-            yield pattern, p * q
-
-
-def _pattern_polynomials(cfg: ExperimentConfig, registry: fock.ModeRegistry
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Output patterns (K, 4) over (c, d, herald1, herald2) and their
-    probabilities as polynomials in x = |m|^2: coefficients
-    (K, max_pairs // 2 + 1), highest power first as `np.polyval` takes
-    them.
-
-    The distribution is evaluated exactly at max_pairs // 2 + 1
-    Chebyshev nodes of [0, 1]; its degree is at most max_pairs // 2 (see
-    the module docstring), so the polynomial through those values is the
-    distribution itself.
-    """
-    n = cfg.max_pairs // 2 + 1
-    nodes = 0.5 - 0.5 * np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
-    values: Dict[Tuple[int, ...], List[float]] = {}
-    for j, x in enumerate(nodes):
-        for pattern, pq in _pattern_distribution(cfg, math.sqrt(x), registry):
-            if pattern not in values:
-                values[pattern] = [0.0] * n
-            values[pattern][j] += pq
-    patterns = np.array(list(values), dtype=np.int64).reshape(-1, 4)
-    coeffs = np.linalg.solve(np.vander(nodes, n),
-                             np.array(list(values.values())).T).T
-    return patterns, coeffs
-
-
 def _coincidence_probs(cfg: ExperimentConfig) -> np.ndarray:
     """Per-pulse coincidence probability p(delay) at every grid point."""
-    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
     detectors = cfg.effective_detectors()
-    patterns, coeffs = _pattern_polynomials(cfg, registry)
-    w = np.array([_coincidence_weight(pattern, cfg, detectors)
-                  for pattern in patterns.tolist()])
-    # rounding can leave an exact zero (a perfect post-selected dip) a few
-    # ulps below it
-    return np.maximum(np.polyval(w @ coeffs, cfg.overlaps_sq()), 0.0)
+    rows = list(_pattern_table(cfg))
+    weights = {pattern: _coincidence_weight(pattern, cfg, detectors)
+               for pattern in dict.fromkeys(row[2] for row in rows)}
+    coeffs: Dict[Tuple[int, int], float] = defaultdict(float)
+    for n2, k, pattern, prob in rows:
+        coeffs[n2, k] += prob * weights[pattern]
+    x = cfg.overlaps_sq()
+    total = np.zeros_like(x)
+    for (n2, k), c in coeffs.items():
+        total += c * math.comb(n2, k) * x ** k * (1.0 - x) ** (n2 - k)
+    return total
 
 
 def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
@@ -346,17 +324,20 @@ def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
 
 def signal_singles_probabilities(cfg: ExperimentConfig) -> Dict[str, float]:
     """Per-gate signal-only click probability of each scheme detector,
-    evaluated far outside the dip (overlap 0)."""
-    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
+    evaluated far outside the dip (overlap 0, where only the k = 0 rows
+    of the pattern table carry weight)."""
     detectors = cfg.effective_detectors()
     nodark = {role: DetectorModel(d.name, eta=d.eta, dark_prob=0.0)
               for role, d in detectors.items()}
+    arrivals: Dict[Tuple[str, int], float] = defaultdict(float)
+    for _, k, pattern, prob in _pattern_table(cfg):
+        if k == 0:
+            for group, n in zip(_GROUP_ORDER, pattern):
+                arrivals[_ROLE_OF_GROUP[group], n] += prob
     singles = {role: 0.0 for role in cfg.scheme.roles}
-    for pattern, pq in _pattern_distribution(cfg, 0.0, registry):
-        for group, n in zip(_GROUP_ORDER, pattern):
-            role = _ROLE_OF_GROUP[group]
-            if role in singles:
-                singles[role] += pq * detect.click_probability(n, nodark[role])
+    for (role, n), q in arrivals.items():
+        if role in singles:
+            singles[role] += q * detect.click_probability(n, nodark[role])
     return singles
 
 

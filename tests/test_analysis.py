@@ -73,6 +73,21 @@ def test_clamped_visibility_is_reported():
     assert normal.to_dict()["clamped"] is False
 
 
+def test_clamped_fit_reports_residual_of_reported_parameters():
+    # the input of test_clamped_visibility_is_reported
+    sigma = 60.0
+    half = np.linspace(0.5 * sigma, 5 * sigma, 20)
+    curve = synthetic_curve(100.0, 1.1, sigma,
+                            delays=np.concatenate([-half[::-1], half]))
+    with pytest.warns(UserWarning, match="clamped"):
+        report = fit_dip(curve).to_dict()
+    # no error bars, so the fit weighs every point alike
+    miss = np.linalg.norm(dip_model(curve.delays_um, report["S"], report["V"],
+                                    report["sigma_tau_um"]) - curve.rates_hz)
+    assert miss > 1.0
+    assert report["residual"] == pytest.approx(miss, rel=1e-12)
+
+
 def test_too_few_points_rejected():
     curve = DipCurve(delays_um=(-10.0, 0.0, 10.0), rates_hz=(1.0, 0.5, 1.0),
                      errors_hz=(0.0,) * 3, mode="data")

@@ -249,3 +249,31 @@ def test_debug_serialization_golden():
         "0 0.70710678118654746 | 0 0 0 2",
         "0 0.70710678118654746 | 0 0 2 0",
     ]
+
+
+def test_beamsplitter_amplitudes_kernel():
+    reg = fock.standard_registry(n_max=8)
+    for na in range(9):
+        for nb in range(9 - na):
+            amps = fock.beamsplitter_amplitudes(na, nb)
+            assert all(kc + kd == na + nb for kc, kd in amps)
+            assert sum(abs(a) ** 2 for a in amps.values()) == pytest.approx(
+                1.0, abs=1e-12)
+            # term by term against the full state algebra on |na, nb>
+            out = fock.apply_beamsplitter(
+                PureState.basis(reg, {A: na, B: nb}))
+            kept = {k: a for k, a in amps.items()
+                    if abs(a) > fock.PRUNE_THRESHOLD}
+            assert engine_cd_amplitudes(out) == kept
+    # HOM: |1,1> never leaves one photon in each output
+    assert abs(fock.beamsplitter_amplitudes(1, 1).get((1, 1), 0.0)) == 0.0
+    # |n,n> only ever puts an even number of photons in c
+    for n in range(1, 5):
+        for (kc, _), a in fock.beamsplitter_amplitudes(n, n).items():
+            if kc % 2:
+                assert abs(a) <= fock.PRUNE_THRESHOLD, (n, kc)
+
+
+def test_beamsplitter_amplitudes_rejects_negative_numbers():
+    with pytest.raises(ValueError):
+        fock.beamsplitter_amplitudes(-1, 1)

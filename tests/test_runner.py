@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mandeldip import analysis, cli, fock, optics, pdc, runner
+from mandeldip import analysis, cli, detect, fock, optics, pdc, runner
 from mandeldip.detect import CoincidenceScheme, DetectorModel
 from mandeldip.optics import DistinguishabilityContext
 from mandeldip.pdc import SourceParams
@@ -237,10 +237,23 @@ def test_accidental_floor_only_with_darks():
     assert runner.accidental_floor_hz(clean) == 0.0
 
 
+def fock_pattern_distribution(cfg, overlap):
+    """Reference: (pattern, probability) over every truncated pair
+    configuration, from the full Fock state through the beam splitter."""
+    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
+    grouping = fock.spatial_grouping(registry, runner._GROUP_ORDER)
+    for n1, n2, p in runner._pair_configs(cfg):
+        if p == 0.0:
+            continue
+        state = pdc.pair_configuration_state(registry, n1, n2, overlap)
+        out = fock.apply_beamsplitter(state)
+        for pattern, q in fock.mode_probabilities(out, grouping).items():
+            yield pattern, p * q
+
+
 def pointwise_rates(cfg):
     """Reference engine: the full pattern distribution at each point's
     own overlap, weighted by the detectors and summed."""
-    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
     detectors = cfg.effective_detectors()
     rates = []
     for d in cfg.delays_um:
@@ -249,7 +262,7 @@ def pointwise_rates(cfg):
             polarization_angle_rad=cfg.polarization_angle_rad,
             spectral_mismatch=cfg.spectral_mismatch))
         p = sum(pq * runner._coincidence_weight(pattern, cfg, detectors)
-                for pattern, pq in runner._pattern_distribution(cfg, m, registry))
+                for pattern, pq in fock_pattern_distribution(cfg, m))
         rates.append(cfg.pulse_rate_hz * p)
     return rates
 
@@ -273,19 +286,39 @@ def test_polynomial_engine_matches_pointwise_sum(name):
 
 def test_analytic_fock_passes_do_not_grow_with_grid(monkeypatch):
     calls = []
-    real = pdc.pair_configuration_state
+    real = fock.beamsplitter_amplitudes
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pdc, "pair_configuration_state", counting)
+    monkeypatch.setattr(fock, "beamsplitter_amplitudes", counting)
     counts = []
     for n in (31, 201):
         calls.clear()
         runner.dip_curve_analytic(make_config(delays=np.linspace(-300, 300, n)))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("name", ["ideal_threefold", "ideal_fivefold",
+                                  "lab_fivefold"])
+def test_singles_match_fock_sum_at_zero_overlap(name):
+    base = cli.parse_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    for max_pairs in (3, 4, 5, 6):
+        cfg = dataclasses.replace(base, max_pairs=max_pairs)
+        nodark = {role: DetectorModel(d.name, eta=d.eta, dark_prob=0.0)
+                  for role, d in cfg.effective_detectors().items()}
+        expected = {role: 0.0 for role in cfg.scheme.roles}
+        for pattern, pq in fock_pattern_distribution(cfg, 0.0):
+            for group, n in zip(runner._GROUP_ORDER, pattern):
+                role = runner._ROLE_OF_GROUP[group]
+                if role in expected:
+                    expected[role] += pq * detect.click_probability(n, nodark[role])
+        got = runner.signal_singles_probabilities(cfg)
+        assert got.keys() == expected.keys()
+        for role, want in expected.items():
+            assert abs(got[role] - want) <= 1e-12 * want, (max_pairs, role)
 
 
 def test_perfect_post_selected_dip_stays_non_negative():
