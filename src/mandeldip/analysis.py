@@ -2,9 +2,13 @@
 
 The dip model is R(tau) = S * (1 - V * exp(-tau^2 / (2 sigma^2))) with
 S the rate outside the dip, V the visibility and sigma the 1/sqrt(e)
-half width; FWHM = 2 sqrt(2 ln 2) sigma. Fitting is weighted damped
-Gauss-Newton with the analytic Jacobian: three parameters, well
-conditioned, deterministic.
+half width; FWHM = 2 sqrt(2 ln 2) sigma. Fitting is weighted least
+squares by variable projection: for a fixed sigma the model is linear in
+(S, S V), which two normal equations give in closed form, so only sigma
+is searched, over a bounded range [half the smallest delay step, grid
+span]. The search costs the same on every curve and cannot run off to
+an unbounded width. The covariance comes from the analytic Jacobian at
+the reported parameters.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -76,38 +80,66 @@ def dip_jacobian(tau, s, v, sigma):
     ])
 
 
-def _initial_guess(tau: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
-    """Deterministic heuristic: baseline from the outer quartile, depth
-    from the minimum point, width from the half-depth crossing."""
-    order = np.argsort(np.abs(tau))[::-1]
-    n_outer = max(2, len(tau) // 4)
-    s0 = float(np.mean(y[order[:n_outer]]))
-    if s0 <= 0:
-        s0 = max(float(np.max(y)), 1e-12)
-    y_min = float(np.min(y))
-    v0 = min(max(1.0 - y_min / s0, 0.01), 0.999)
-    level = s0 * (1.0 - 0.5 * v0)
-    below = np.abs(tau[y <= level])
-    if below.size > 0 and float(np.max(below)) > 0:
-        sigma0 = float(np.max(below)) / math.sqrt(2.0 * math.log(2.0))
-    else:
-        sigma0 = (float(np.max(tau)) - float(np.min(tau))) / 4.0
-    if sigma0 <= 0:
-        sigma0 = 1.0
-    return s0, v0, sigma0
+# Trial widths of the profile scan, log-spaced over [half the smallest
+# delay step, grid span]; a fixed count, so the scan costs the same on
+# every curve.
+_N_WIDTHS = 32
+_UNIT_STEPS = np.linspace(0.0, 1.0, _N_WIDTHS)
+_WIDTH_RTOL = 1e-12
+_MAX_REFINEMENTS = 100
 
 
-def fit_dip(curve: DipCurve,
-            initial_guess: Optional[Tuple[float, float, float]] = None,
-            max_iterations: int = 200, tol: float = 1e-10) -> DipFit:
-    """Weighted least-squares fit of the Gaussian dip model.
+def _width_profile(tau, y, w2):
+    """Least-squares profile of the dip over its width.
+
+    For a fixed width sigma the model a - b g(tau), with
+    g = exp(-tau^2 / (2 sigma^2)), is linear in (a, b) = (S, S V). The
+    returned function maps a 1-D array of widths to, per width, that
+    weighted least-squares (a, b), the determinant of the 2x2 normal
+    equations over the weight sum, sum w^2 (g - mean g)^2 (0 when every
+    g is equal, e.g. all underflowed to 0, and the system is singular;
+    b is then 0), the cost c(sigma) and dc/dsigma. By the envelope
+    theorem dc/dsigma is the partial derivative at fixed (a, b), so it
+    costs one pass over the curve.
+    """
+    tau2 = tau ** 2
+    wn = w2 / np.sum(w2)
+    y_mean = float(wn @ y)
+    yc = y - y_mean
+    w2_yc, w2_tau2 = w2 * yc, w2 * tau2
+
+    def profile(sigma):
+        g = np.exp(tau2 / (-2.0 * sigma[:, None] ** 2))
+        g_mean = g @ wn
+        gc = g - g_mean[:, None]
+        det = gc ** 2 @ w2
+        b = np.divide(-(gc @ w2_yc), det, out=np.zeros_like(det),
+                      where=det > 0.0)
+        r = b[:, None] * gc + yc    # y - (a - b g)
+        dcost = 2.0 * b * ((r * g) @ w2_tau2) / sigma ** 3
+        return y_mean + b * g_mean, b, det, r ** 2 @ w2, dcost
+
+    return profile
+
+
+def fit_dip(curve: DipCurve) -> DipFit:
+    """Weighted least-squares fit of the Gaussian dip model by variable
+    projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
 
     Weights are 1/error^2 when every point carries an error bar, uniform
-    otherwise. Converges when the relative parameter change drops below
-    `tol`; raises on non-convergence. A fitted V outside [0, 1] is
-    clamped into it with a warning and reported as `clamped`. A flat
-    curve pins V at 0 with a warning instead of fitting a degenerate
-    width.
+    otherwise. For a fixed width sigma, S and S V solve 2x2 normal
+    equations, so the fit is a 1-D search of the profiled cost c(sigma)
+    over [half the smallest delay step, grid span]: c is evaluated on a
+    fixed log-spaced grid of widths, and the grid minimum is refined by
+    a bracketed root find (regula falsi with Anderson-Bjorck steps) on
+    dc/dsigma. `iterations` counts those refinements. Raises
+    RuntimeError when the minimum sits at either end of the width range,
+    the 2x2 system is singular, or S comes out non-positive; also, as
+    safeguards, when dc/dsigma does not change sign across the grid
+    minimum or the refinement does not settle. A fitted V outside
+    [0, 1] is clamped into it with a warning and reported as `clamped`.
+    A flat curve pins V at 0 with a warning instead of fitting a
+    degenerate width.
     """
     tau = np.asarray(curve.delays_um, dtype=float)
     y = np.asarray(curve.rates_hz, dtype=float)
@@ -131,74 +163,68 @@ def fit_dip(curve: DipCurve,
                       residual_norm=float(np.linalg.norm((y - s0) * w)),
                       iterations=0, converged=True)
 
-    p = np.array(initial_guess if initial_guess is not None
-                 else _initial_guess(tau, y), dtype=float)
-
-    def cost(params):
-        return float(np.sum(((dip_model(tau, *params) - y) * w) ** 2))
-
-    mu = 1e-3
-    converged = False
-    iterations = 0
-    current = cost(p)
-    for iterations in range(1, max_iterations + 1):
-        r = (dip_model(tau, *p) - y) * w
-        jac = dip_jacobian(tau, *p) * w[:, None]
-        h = jac.T @ jac
-        g = jac.T @ r
-        # floor the damping diagonal so a degenerate column (e.g. sigma
-        # already collapsed below the grid) cannot make the system singular
-        diag = np.diag(h)
-        diag = np.where(diag > 0.0, diag, max(float(np.max(diag)), 1.0) * 1e-12)
-        step = None
-        for _ in range(50):
-            try:
-                step = np.linalg.solve(h + mu * np.diag(diag), -g)
-            except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            # At the optimum no damped step improves the cost; a step that
-            # is already negligible relative to the parameters means we
-            # are done rather than stuck.
-            if float(np.max(np.abs(step) / (np.abs(p) + 1e-300))) < tol:
-                converged = True
-                break
-            # cap the sigma shrink per step: below the delay spacing the
-            # model is flat between points and the Hessian degenerates
-            if step[2] < -0.75 * p[2]:
-                step = step * (0.75 * p[2] / -step[2])
-            trial = p + step
-            trial[2] = abs(trial[2])
-            if trial[2] == 0.0 or trial[0] <= 0.0:
-                mu *= 10.0
-                continue
-            c_trial = cost(trial)
-            if c_trial <= current:
-                break
-            mu *= 10.0
-        else:
-            break
-        if converged:
-            break
-        rel_change = float(np.max(np.abs(step) / (np.abs(p) + 1e-300)))
-        p = trial
-        current = c_trial
-        mu = max(mu / 3.0, 1e-12)
-        if rel_change < tol:
-            converged = True
-            break
-    if not converged:
+    steps = np.diff(np.sort(tau))
+    steps = steps[steps > 0.0]
+    if steps.size == 0:
+        raise ValueError("fit requires at least two distinct delays")
+    profile = _width_profile(tau, y, w ** 2)
+    lo_width, hi_width = 0.5 * float(np.min(steps)), float(np.sum(steps))
+    widths = lo_width * (hi_width / lo_width) ** _UNIT_STEPS
+    a_grid, b_grid, det_grid, cost, dcost = profile(widths)
+    i = int(np.argmin(cost))
+    lo, hi = (i, i + 1) if dcost[i] < 0.0 else (i - 1, i)
+    if lo < 0 or hi >= _N_WIDTHS:
         raise RuntimeError(
-            f"dip fit did not converge in {max_iterations} iterations")
+            f"dip fit did not converge: the width hit the edge of "
+            f"[{lo_width:.6g}, {hi_width:.6g}] um (half the grid step, "
+            f"grid span)")
+    x0, f0, x1, f1 = widths[lo], dcost[lo], widths[hi], dcost[hi]
+    if not f0 <= 0.0 <= f1:
+        raise RuntimeError("dip fit did not converge: no bracketed minimum "
+                           f"of the width profile near {widths[i]:.6g} um")
 
-    s, v, sigma = float(p[0]), float(p[1]), abs(float(p[2]))
+    # regula falsi on dc/dsigma with Anderson-Bjorck steps, keeping the
+    # bracket f0 < 0 < f1 around the grid minimum
+    j = lo if f0 == 0.0 else hi if f1 == 0.0 else i
+    x, a, b, det = (float(v[j]) for v in (widths, a_grid, b_grid, det_grid))
+    iterations, side = 0, 0
+    while f0 < 0.0 < f1:
+        if iterations == _MAX_REFINEMENTS:
+            raise RuntimeError(f"dip fit did not converge in "
+                               f"{_MAX_REFINEMENTS} width refinements")
+        iterations += 1
+        x_new = x1 - f1 * (x1 - x0) / (f1 - f0)
+        a, b, det, _, f = (float(v[0]) for v in profile(np.array([x_new])))
+        done = f == 0.0 or abs(x_new - x) <= _WIDTH_RTOL * x_new
+        x = x_new
+        if done:
+            break
+        # the endpoint kept twice in a row gets its value scaled down
+        if f < 0.0:
+            if side < 0:
+                m = 1.0 - f / f0
+                f1 *= m if m > 0.0 else 0.5
+            x0, f0, side = x, f, -1
+        else:
+            if side > 0:
+                m = 1.0 - f / f1
+                f0 *= m if m > 0.0 else 0.5
+            x1, f1, side = x, f, 1
+
+    if det <= 0.0:
+        raise RuntimeError("dip fit did not converge: singular 2x2 system "
+                           f"at width {x:.6g} um")
+    if a <= 0.0:
+        raise RuntimeError(f"dip fit did not converge: S = {a:.6g} <= 0")
+
+    s, v, sigma = a, b / a, float(x)
     clamped = v < 0.0 or v > 1.0
     if clamped:
         warnings.warn(f"fitted visibility {v:.4f} clamped into [0, 1]",
                       stacklevel=2)
         v = min(max(v, 0.0), 1.0)
-        # residual and covariance scale belong to the reported parameters
-        current = cost((s, v, sigma))
+    # residual and covariance scale belong to the reported parameters
+    current = float(np.sum(((dip_model(tau, s, v, sigma) - y) * w) ** 2))
 
     jac = dip_jacobian(tau, s, v, sigma) * w[:, None]
     h = jac.T @ jac

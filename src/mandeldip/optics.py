@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SPEED_OF_LIGHT_UM_PER_FS = 0.299792458
 
 # FWHM time-bandwidth factor for Gaussian spectra: l_c = K * lambda^2 / dlambda
@@ -46,10 +48,15 @@ class DistinguishabilityContext:
     spectral_mismatch: float = 0.0
 
     def __post_init__(self):
-        if self.coherence_length_um <= 0:
-            raise ValueError("coherence length must be positive")
-        if not 0.0 <= self.spectral_mismatch <= 1.0:
-            raise ValueError("spectral_mismatch must lie in [0, 1]")
+        _check_overlap_inputs(self.coherence_length_um, self.spectral_mismatch)
+
+
+def _check_overlap_inputs(coherence_length_um: float,
+                          spectral_mismatch: float) -> None:
+    if coherence_length_um <= 0:
+        raise ValueError("coherence length must be positive")
+    if not 0.0 <= spectral_mismatch <= 1.0:
+        raise ValueError("spectral_mismatch must lie in [0, 1]")
 
 
 def coherence_length(filt: FilterSpec) -> float:
@@ -95,18 +102,28 @@ def heralded_bandwidth(signal_filter: FilterSpec, herald_filter: FilterSpec,
     return FilterSpec(center_nm=signal_filter.center_nm, fwhm_nm=combined)
 
 
-def overlap_amplitude(ctx: DistinguishabilityContext) -> float:
-    """Temporal-mode overlap amplitude m of the delayed photon.
+def overlap_sq(delays_um, coherence_length_um: float,
+               polarization_angle_rad: float = 0.0,
+               spectral_mismatch: float = 0.0) -> np.ndarray:
+    """Overlap |m(delay)|^2 of the delayed photon at every delay.
 
     |m(delay)|^2 = cos^2(angle) * (1 - mismatch) * exp(-d^2 / (2 s^2))
     with s = l_c / (2 sqrt(ln 2)), so |m|^2 versus delay has FWHM
-    sqrt(2) * l_c. Returned as a non-negative real amplitude.
+    sqrt(2) * l_c.
     """
-    sigma_d = ctx.coherence_length_um / (2.0 * math.sqrt(math.log(2.0)))
-    gauss = math.exp(-ctx.delay_um ** 2 / (4.0 * sigma_d ** 2))
-    pol = abs(math.cos(ctx.polarization_angle_rad))
-    spec = math.sqrt(1.0 - ctx.spectral_mismatch)
-    return pol * spec * gauss
+    _check_overlap_inputs(coherence_length_um, spectral_mismatch)
+    sigma_d = coherence_length_um / (2.0 * math.sqrt(math.log(2.0)))
+    d = np.asarray(delays_um, dtype=float)
+    return (math.cos(polarization_angle_rad) ** 2 * (1.0 - spectral_mismatch)
+            * np.exp(-d ** 2 / (2.0 * sigma_d ** 2)))
+
+
+def overlap_amplitude(ctx: DistinguishabilityContext) -> float:
+    """Temporal-mode overlap amplitude m of the delayed photon: the
+    non-negative real square root of `overlap_sq` at `ctx.delay_um`."""
+    return math.sqrt(float(overlap_sq(ctx.delay_um, ctx.coherence_length_um,
+                                      ctx.polarization_angle_rad,
+                                      ctx.spectral_mismatch)))
 
 
 def decompose_modes(m: complex) -> tuple[complex, float]:

@@ -47,14 +47,14 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import detect, fock, optics, pdc
 from .detect import (CoincidenceScheme, DetectorModel, GE_1310, INGAAS_1310,
                      INGAAS_1550_1, INGAAS_1550_2)
-from .optics import DistinguishabilityContext, FilterSpec
+from .optics import FilterSpec
 from .pdc import SourceParams
 
 # Detector role wired to each spatial output group.
@@ -138,13 +138,9 @@ class ExperimentConfig:
 
     def overlaps_sq(self) -> np.ndarray:
         """Overlap |m|^2 at every delay point of the grid."""
-        l_c = self.coherence_length_um()
-        return np.array([optics.overlap_amplitude(DistinguishabilityContext(
-            delay_um=d,
-            coherence_length_um=l_c,
-            polarization_angle_rad=self.polarization_angle_rad,
-            spectral_mismatch=self.spectral_mismatch,
-        )) for d in self.delays_um]) ** 2
+        return optics.overlap_sq(self.delays_um, self.coherence_length_um(),
+                                 self.polarization_angle_rad,
+                                 self.spectral_mismatch)
 
     def digest(self) -> str:
         """Stable content hash of the configuration."""
@@ -216,8 +212,11 @@ def _pair_configs(cfg: ExperimentConfig) -> List[Tuple[int, int, float]]:
     return [(n1, n2, p / z) for n1, n2, p in raw]
 
 
-def _pattern_table(cfg: ExperimentConfig
-                   ) -> Iterator[Tuple[int, int, Tuple[int, ...], float]]:
+# One pattern-table row: (n2, k, pattern, prob).
+Row = Tuple[int, int, Tuple[int, ...], float]
+
+
+def _pattern_table(cfg: ExperimentConfig) -> Iterator[Row]:
     """Yield (n2, k, pattern, prob) over every truncated pair configuration
     (n1, n2), matched source-2 photon number k and output pattern
     (c, d, herald1, herald2). `prob` leaves out the k-mixture weight
@@ -237,6 +236,13 @@ def _pattern_table(cfg: ExperimentConfig
                 for o, q_ortho in splits[0, n2 - k]:
                     yield (n2, k, (j + o, n1 + n2 - j - o, n1, n2),
                            p * q_matched * q_ortho)
+
+
+def pattern_table(cfg: ExperimentConfig) -> List[Row]:
+    """The scan's pattern table as a list, for callers that read it more
+    than once: `mandel-dip scan` passes it to both the curve and the
+    accidental floor, so a scan builds it once."""
+    return list(_pattern_table(cfg))
 
 
 def _coincidence_weight(pattern: Tuple[int, ...], cfg: ExperimentConfig,
@@ -262,10 +268,12 @@ def _coincidence_weight(pattern: Tuple[int, ...], cfg: ExperimentConfig,
     return weight
 
 
-def _coincidence_probs(cfg: ExperimentConfig) -> np.ndarray:
-    """Per-pulse coincidence probability p(delay) at every grid point."""
+def _coincidence_probs(cfg: ExperimentConfig,
+                       table: Optional[Sequence[Row]] = None) -> np.ndarray:
+    """Per-pulse coincidence probability p(delay) at every grid point,
+    from `table` (`pattern_table(cfg)`, built here when not given)."""
     detectors = cfg.effective_detectors()
-    rows = list(_pattern_table(cfg))
+    rows = pattern_table(cfg) if table is None else table
     weights = {pattern: _coincidence_weight(pattern, cfg, detectors)
                for pattern in dict.fromkeys(row[2] for row in rows)}
     coeffs: Dict[Tuple[int, int], float] = defaultdict(float)
@@ -278,9 +286,10 @@ def _coincidence_probs(cfg: ExperimentConfig) -> np.ndarray:
     return total
 
 
-def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
+def dip_curve_analytic(cfg: ExperimentConfig,
+                       table: Optional[Sequence[Row]] = None) -> DipCurve:
     """Closed-form expected coincidence rate at every delay point."""
-    rates = cfg.pulse_rate_hz * _coincidence_probs(cfg)
+    rates = cfg.pulse_rate_hz * _coincidence_probs(cfg, table)
     return DipCurve(delays_um=tuple(cfg.delays_um),
                     rates_hz=tuple(rates.tolist()),
                     errors_hz=(0.0,) * len(cfg.delays_um),
@@ -311,10 +320,11 @@ def _mc_point(cfg: ExperimentConfig, point_index: int,
     return rate, err
 
 
-def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
+def dip_curve_mc(cfg: ExperimentConfig,
+                 table: Optional[Sequence[Row]] = None) -> DipCurve:
     """Monte Carlo delay scan; deterministic per (seed, point index)."""
     points = [_mc_point(cfg, i, p)
-              for i, p in enumerate(_coincidence_probs(cfg).tolist())]
+              for i, p in enumerate(_coincidence_probs(cfg, table).tolist())]
     return DipCurve(delays_um=tuple(cfg.delays_um),
                     rates_hz=tuple(r for r, _ in points),
                     errors_hz=tuple(e for _, e in points),
@@ -322,15 +332,19 @@ def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
                     config_digest=cfg.digest())
 
 
-def signal_singles_probabilities(cfg: ExperimentConfig) -> Dict[str, float]:
+def signal_singles_probabilities(cfg: ExperimentConfig,
+                                 table: Optional[Sequence[Row]] = None
+                                 ) -> Dict[str, float]:
     """Per-gate signal-only click probability of each scheme detector,
     evaluated far outside the dip (overlap 0, where only the k = 0 rows
-    of the pattern table carry weight)."""
+    of the pattern table carry weight), from `table` as in
+    `_coincidence_probs`."""
     detectors = cfg.effective_detectors()
     nodark = {role: DetectorModel(d.name, eta=d.eta, dark_prob=0.0)
               for role, d in detectors.items()}
     arrivals: Dict[Tuple[str, int], float] = defaultdict(float)
-    for _, k, pattern, prob in _pattern_table(cfg):
+    rows = _pattern_table(cfg) if table is None else table
+    for _, k, pattern, prob in rows:
         if k == 0:
             for group, n in zip(_GROUP_ORDER, pattern):
                 arrivals[_ROLE_OF_GROUP[group], n] += prob
@@ -341,11 +355,12 @@ def signal_singles_probabilities(cfg: ExperimentConfig) -> Dict[str, float]:
     return singles
 
 
-def accidental_floor_hz(cfg: ExperimentConfig) -> float:
+def accidental_floor_hz(cfg: ExperimentConfig,
+                        table: Optional[Sequence[Row]] = None) -> float:
     """Delay-independent accidental-coincidence rate estimate."""
     if cfg.small_eta:
         return 0.0
-    singles = signal_singles_probabilities(cfg)
+    singles = signal_singles_probabilities(cfg, table)
     per_gate = detect.accidental_rate(cfg.scheme, cfg.effective_detectors(),
                                       singles)
     return per_gate * cfg.pulse_rate_hz

@@ -1,15 +1,19 @@
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mandeldip import analysis, runner
+from mandeldip import analysis, cli, runner
 from mandeldip.analysis import DipFit, dip_jacobian, dip_model, fit_dip
 from mandeldip.detect import CoincidenceScheme
 from mandeldip.pdc import SourceParams
 from mandeldip.runner import DipCurve
 
 FWHM_PER_SIGMA = 2 * math.sqrt(2 * math.log(2))
+LAB_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "lab_fivefold.json"
 
 
 def synthetic_curve(s, v, sigma, delays=None, noise_rng=None, err=0.0):
@@ -190,3 +194,101 @@ def test_fit_on_seeded_mc_curve():
     fit_an = analysis.fit_dip(runner.dip_curve_analytic(cfg))
     sigma_v = math.sqrt(max(fit_mc.covariance[1][1], 1e-12))
     assert abs(fit_mc.visibility - fit_an.visibility) < 3 * sigma_v
+
+
+def lab_mc_curves(seed):
+    """Raw and net MC curves of the shipped paper-regime config (31
+    points, a few counts each) at an MC seed."""
+    cfg = cli.parse_config(json.loads(LAB_CONFIG.read_text()),
+                           seed_override=seed)
+    raw = runner.dip_curve_mc(cfg)
+    return raw, analysis.subtract_floor(raw, runner.accidental_floor_hz(cfg))
+
+
+def fit_weights(curve):
+    err = np.asarray(curve.errors_hz)
+    return 1.0 / err if np.all(err > 0) else np.ones(len(err))
+
+
+def test_fit_finds_least_squares_minimum_over_width_range():
+    # the profile is multimodal here: a narrow deep dip beats a wide
+    # shallow one that a local search can stop at
+    raw, _ = lab_mc_curves(14)
+    tau, y = np.asarray(raw.delays_um), np.asarray(raw.rates_hz)
+    w = fit_weights(raw)
+    step = np.min(np.diff(tau))
+    best = np.inf
+    for sigma in np.geomspace(step / 2, tau[-1] - tau[0], 3000):
+        basis = np.column_stack([np.ones_like(tau),
+                                 -np.exp(-tau ** 2 / (2 * sigma ** 2))])
+        coef = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)[0]
+        best = min(best, float(np.linalg.norm((basis @ coef - y) * w)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # V may be clamped
+        fit = fit_dip(raw)
+    assert fit.residual_norm <= (1 + 1e-9) * best
+
+
+def test_sparse_fit_refines_width_in_few_steps():
+    for curve in lab_mc_curves(5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            fit = fit_dip(curve)
+        assert fit.converged
+        assert fit.iterations <= 40
+
+
+@pytest.mark.parametrize("seed", [6, 33])
+def test_runaway_width_raises(seed):
+    raw, _ = lab_mc_curves(seed)
+    with pytest.raises(RuntimeError, match="edge"):
+        fit_dip(raw)
+
+
+def test_non_positive_baseline_raises():
+    # a box-shaped peak: the best Gaussian dip has S < 0
+    tau = np.linspace(-300, 300, 41)
+    curve = DipCurve(delays_um=tuple(tau),
+                     rates_hz=tuple(np.where(np.abs(tau) < 60, 100.0, 0.0)),
+                     errors_hz=(0.0,) * 41, mode="data")
+    with pytest.raises(RuntimeError, match="S = "):
+        fit_dip(curve)
+
+
+def test_fit_where_every_g_underflows_at_narrow_widths():
+    # no delay near 0: below ~8 um every exp(-tau^2 / (2 sigma^2))
+    # underflows to 0 and the 2x2 system is singular there
+    tau = 300.0 + 10.0 * np.arange(41)
+    curve = synthetic_curve(50.0, 0.8, 200.0, delays=tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = fit_dip(curve)
+    assert fit.s == pytest.approx(50.0, rel=1e-6)
+    assert fit.visibility == pytest.approx(0.8, rel=1e-6)
+    assert fit.sigma_tau_um == pytest.approx(200.0, rel=1e-6)
+
+
+def test_fit_is_stationary_on_resolved_binomial_curves():
+    # first-order optimality: each component of the weighted gradient
+    # (w J)^T (w r) is <= 1e-6 of |w J_k| |w r|, the cosine between the
+    # residual and that Jacobian column
+    # 2000-10000 counts per point outside the dip, >= 200 at its bottom
+    rng = np.random.default_rng(2024)
+    n_pulses, pulse_rate = 10 ** 6, 7.6e7
+    for n_points in (31, 61, 101, 201) * 3:
+        sigma = rng.uniform(80.0, 250.0) / FWHM_PER_SIGMA
+        reach = rng.uniform(3.0, 5.0) * FWHM_PER_SIGMA * sigma
+        tau = np.linspace(-reach, reach, n_points)
+        p = dip_model(tau, rng.uniform(2e-3, 1e-2), rng.uniform(0.2, 0.9), sigma)
+        p_hat = rng.binomial(n_pulses, p) / n_pulses
+        err = np.sqrt(p_hat * (1 - p_hat) / n_pulses)
+        curve = DipCurve(delays_um=tuple(tau), rates_hz=tuple(p_hat * pulse_rate),
+                         errors_hz=tuple(err * pulse_rate), mode="data")
+        fit = fit_dip(curve)
+        assert not fit.clamped
+        params = (fit.s, fit.visibility, fit.sigma_tau_um)
+        w = fit_weights(curve)
+        wr = (dip_model(tau, *params) - np.asarray(curve.rates_hz)) * w
+        wj = dip_jacobian(tau, *params) * w[:, None]
+        bound = 1e-6 * np.linalg.norm(wj, axis=0) * np.linalg.norm(wr)
+        assert np.all(np.abs(wj.T @ wr) <= bound)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mandeldip import analysis, cli
+from mandeldip import analysis, cli, runner
 from mandeldip.analysis import dip_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -124,6 +124,25 @@ def test_scan_writes_reports_when_fit_raises(tmp_path, monkeypatch):
     assert report["net"]["converged"] is False
     assert "error" in report["raw"]
     assert (out_dir / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("mode", ["analytic", "mc"])
+def test_scan_builds_one_pattern_table(tmp_path, monkeypatch, mode):
+    # the curve and the accidental floor read the same table
+    passes = []
+    real = runner._pattern_table
+
+    def counting(cfg):
+        passes.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(runner, "_pattern_table", counting)
+    out_dir = tmp_path / "out"
+    assert cli.main(["scan", str(CONFIG_DIR / "lab_fivefold.json"),
+                     "--mode", mode, "--out", str(out_dir)]) == 0
+    assert len(passes) == 1
+    report = json.loads((out_dir / "fit.json").read_text())
+    assert report["accidental_hz"] > 0.0
 
 
 def test_scan_fivefold_pump_follows_signal_and_herald(tmp_path):
