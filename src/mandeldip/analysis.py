@@ -134,7 +134,8 @@ def fit_dip(curve: DipCurve) -> DipFit:
     a bracketed root find (regula falsi with Anderson-Bjorck steps) on
     dc/dsigma. `iterations` counts those refinements. Raises
     RuntimeError when the minimum sits at either end of the width range,
-    the 2x2 system is singular, or S comes out non-positive; also, as
+    the 2x2 system is singular, or S comes out at most 1e-12 of the
+    curve's largest rate (a vanishing or negative baseline); also, as
     safeguards, when dc/dsigma does not change sign across the grid
     minimum or the refinement does not settle. A fitted V outside
     [0, 1] is clamped into it with a warning and reported as `clamped`.
@@ -214,8 +215,9 @@ def fit_dip(curve: DipCurve) -> DipFit:
     if det <= 0.0:
         raise RuntimeError("dip fit did not converge: singular 2x2 system "
                            f"at width {x:.6g} um")
-    if a <= 0.0:
-        raise RuntimeError(f"dip fit did not converge: S = {a:.6g} <= 0")
+    if a <= 1e-12 * scale:
+        raise RuntimeError(f"dip fit did not converge: S = {a:.6g} is at "
+                           f"most 1e-12 of the peak rate {scale:.6g}")
 
     s, v, sigma = a, b / a, float(x)
     clamped = v < 0.0 or v > 1.0

@@ -177,12 +177,10 @@ def _fit_report(curve: DipCurve) -> dict:
 def cmd_scan(args) -> int:
     config_text = Path(args.config).read_text()
     cfg = parse_config(json.loads(config_text), seed_override=args.seed)
-    # one pattern table serves the curve and the accidental floor
-    table = runner.pattern_table(cfg)
     if args.mode == "mc":
-        curve = runner.dip_curve_mc(cfg, table)
+        curve = runner.dip_curve_mc(cfg)
     else:
-        curve = runner.dip_curve_analytic(cfg, table)
+        curve = runner.dip_curve_analytic(cfg)
 
     out_dir = Path(args.out)
     curve_path = out_dir / "curve.csv"
@@ -191,7 +189,7 @@ def cmd_scan(args) -> int:
     write_curve_csv(curve, curve_path)
 
     report = {"raw": _fit_report(curve)}
-    floor = runner.accidental_floor_hz(cfg, table)
+    floor = runner.accidental_floor_hz(cfg)
     report["accidental_hz"] = floor
     if floor > 0.0:
         report["net"] = _fit_report(analysis.subtract_floor(curve, floor))

@@ -62,24 +62,6 @@ def click_probability(n: int, det: DetectorModel) -> float:
     return 1.0 - (1.0 - det.eta) ** n * (1.0 - det.dark_prob)
 
 
-def coincidence_probability(pattern: Mapping[str, int],
-                            scheme: CoincidenceScheme,
-                            detectors: Mapping[str, DetectorModel]) -> float:
-    """Probability that every detector in the scheme clicks.
-
-    `pattern` gives photons arriving per detector role; detectors click
-    independently given the pattern.
-    """
-    prob = 1.0
-    for role in scheme.roles:
-        if role not in pattern:
-            raise ValueError(f"pattern missing detector role {role!r}")
-        if role not in detectors:
-            raise ValueError(f"no detector model for role {role!r}")
-        prob *= click_probability(pattern[role], detectors[role])
-    return prob
-
-
 def accidental_rate(scheme: CoincidenceScheme,
                     detectors: Mapping[str, DetectorModel],
                     singles: Mapping[str, float]) -> float:

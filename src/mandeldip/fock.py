@@ -45,8 +45,7 @@ class ModeRegistry:
     """Ordered, immutable collection of mode labels.
 
     The registry order is fixed for the lifetime of a computation and
-    defines the occupation-tuple layout and the lexicographic basis
-    ordering used for serialization.
+    defines the occupation-tuple layout.
     """
 
     def __init__(self, modes: Iterable[Mode | Tuple[str, ...]],
@@ -147,9 +146,6 @@ class PureState:
             raise ValueError("cannot normalize the zero state")
         return PureState(self.registry,
                          {occ: amp / n for occ, amp in self.terms.items()})
-
-    def total_photons(self) -> int:
-        return max((sum(occ) for occ in self.terms), default=0)
 
     def __repr__(self) -> str:
         return f"PureState({len(self.terms)} terms, norm={self.norm():.6f})"
@@ -314,17 +310,3 @@ def mode_probabilities(state: PureState,
         pattern = tuple(sum(occ[i] for i in idxs) for idxs in group_indices)
         probs[pattern] += abs(amp) ** 2
     return dict(probs)
-
-
-def to_debug_text(state: PureState) -> str:
-    """Serialize as `amp_re amp_im | n1 n2 ... nk` lines.
-
-    Basis terms are ordered lexicographically over the registry, which
-    keeps goldens deterministic.
-    """
-    lines = []
-    for occ in sorted(state.terms):
-        amp = state.terms[occ]
-        occ_txt = " ".join(str(n) for n in occ)
-        lines.append(f"{amp.real:.17g} {amp.imag:.17g} | {occ_txt}")
-    return "\n".join(lines)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPEED_OF_LIGHT_UM_PER_FS = 0.299792458
-
 # FWHM time-bandwidth factor for Gaussian spectra: l_c = K * lambda^2 / dlambda
 _GAUSSIAN_TB_FACTOR = 2.0 * math.log(2.0) / math.pi
 
@@ -38,27 +36,6 @@ class FilterSpec:
             raise ValueError("filter bandwidth must be positive")
 
 
-@dataclass(frozen=True)
-class DistinguishabilityContext:
-    """Everything that degrades two-photon overlap at the beam splitter."""
-
-    delay_um: float
-    coherence_length_um: float
-    polarization_angle_rad: float = 0.0
-    spectral_mismatch: float = 0.0
-
-    def __post_init__(self):
-        _check_overlap_inputs(self.coherence_length_um, self.spectral_mismatch)
-
-
-def _check_overlap_inputs(coherence_length_um: float,
-                          spectral_mismatch: float) -> None:
-    if coherence_length_um <= 0:
-        raise ValueError("coherence length must be positive")
-    if not 0.0 <= spectral_mismatch <= 1.0:
-        raise ValueError("spectral_mismatch must lie in [0, 1]")
-
-
 def coherence_length(filt: FilterSpec) -> float:
     """FWHM coherence length in um set by a Gaussian filter."""
     if math.isinf(filt.fwhm_nm):
@@ -66,11 +43,6 @@ def coherence_length(filt: FilterSpec) -> float:
     lam_um = filt.center_nm * 1e-3
     dlam_um = filt.fwhm_nm * 1e-3
     return _GAUSSIAN_TB_FACTOR * lam_um ** 2 / dlam_um
-
-
-def coherence_time_fs(filt: FilterSpec) -> float:
-    """FWHM coherence time in fs (coherence length over c)."""
-    return coherence_length(filt) / SPEED_OF_LIGHT_UM_PER_FS
 
 
 def heralded_bandwidth(signal_filter: FilterSpec, herald_filter: FilterSpec,
@@ -111,19 +83,14 @@ def overlap_sq(delays_um, coherence_length_um: float,
     with s = l_c / (2 sqrt(ln 2)), so |m|^2 versus delay has FWHM
     sqrt(2) * l_c.
     """
-    _check_overlap_inputs(coherence_length_um, spectral_mismatch)
+    if coherence_length_um <= 0:
+        raise ValueError("coherence length must be positive")
+    if not 0.0 <= spectral_mismatch <= 1.0:
+        raise ValueError("spectral_mismatch must lie in [0, 1]")
     sigma_d = coherence_length_um / (2.0 * math.sqrt(math.log(2.0)))
     d = np.asarray(delays_um, dtype=float)
     return (math.cos(polarization_angle_rad) ** 2 * (1.0 - spectral_mismatch)
             * np.exp(-d ** 2 / (2.0 * sigma_d ** 2)))
-
-
-def overlap_amplitude(ctx: DistinguishabilityContext) -> float:
-    """Temporal-mode overlap amplitude m of the delayed photon: the
-    non-negative real square root of `overlap_sq` at `ctx.delay_um`."""
-    return math.sqrt(float(overlap_sq(ctx.delay_um, ctx.coherence_length_um,
-                                      ctx.polarization_angle_rad,
-                                      ctx.spectral_mismatch)))
 
 
 def decompose_modes(m: complex) -> tuple[complex, float]:
@@ -131,8 +98,3 @@ def decompose_modes(m: complex) -> tuple[complex, float]:
     if abs(m) > 1.0 + 1e-12:
         raise ValueError("overlap amplitude must satisfy |m| <= 1")
     return complex(m), math.sqrt(max(0.0, 1.0 - abs(m) ** 2))
-
-
-def dip_fwhm_um(l_c_um: float) -> float:
-    """FWHM of the coincidence dip for coherence length l_c."""
-    return math.sqrt(2.0) * l_c_um

@@ -2,9 +2,10 @@
 
 A single pulsed PDC source emits n photon pairs per pulse with the
 thermal (geometric) law p(n) = (1 - lambda) * lambda^n where
-lambda = tanh^2(zeta) and zeta is the squeezing parameter. The joint
-two-source state per pulse is the coherent superposition over pair
-configurations with amplitudes tanh(zeta1)^n1 * tanh(zeta2)^n2.
+lambda = tanh^2(zeta) and zeta is the squeezing parameter. The two
+sources are independent, and the heralds record (n1, n2) in every
+pulse, so pair configurations never interfere: a pulse is the mixture
+of the fixed-(n1, n2) states with weights p(n1) p(n2).
 
 Each source's 1310 nm photon enters a beam-splitter input (source 1 ->
 a, source 2 -> b) while its 1550 nm twin goes to the source's dedicated
@@ -25,42 +26,24 @@ from .fock import Mode, ModeRegistry, PureState
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Squeezing parameter and derived per-pulse pair statistics.
-
-    With smallzeta=True, construction additionally checks that the exact
-    geometric ratio lambda = tanh^2(zeta) stays within 5% of the
-    small-squeezing approximation zeta^2.
-    """
+    """Squeezing parameter and derived per-pulse pair statistics."""
 
     zeta: float
-    smallzeta: bool = False
 
     def __post_init__(self):
         if self.zeta < 0:
             raise ValueError("zeta must be non-negative")
-        if self.smallzeta and self.zeta > 0:
-            rel = abs(self.pair_probability - self.zeta ** 2) / self.zeta ** 2
-            if rel >= 0.05:
-                raise ValueError(
-                    f"smallzeta mode: tanh^2(zeta) deviates from zeta^2 "
-                    f"by {rel:.1%} (>= 5%)")
 
     @classmethod
-    def from_pair_probability(cls, p: float, smallzeta: bool = False
-                              ) -> "SourceParams":
+    def from_pair_probability(cls, p: float) -> "SourceParams":
         if not 0.0 <= p < 1.0:
             raise ValueError("pair probability must lie in [0, 1)")
-        return cls(zeta=math.atanh(math.sqrt(p)), smallzeta=smallzeta)
-
-    @property
-    def gamma(self) -> float:
-        """Per-pair amplitude ratio tanh(zeta)."""
-        return math.tanh(self.zeta)
+        return cls(zeta=math.atanh(math.sqrt(p)))
 
     @property
     def lam(self) -> float:
         """Per-pair probability ratio tanh^2(zeta) of the geometric law."""
-        return self.gamma ** 2
+        return math.tanh(self.zeta) ** 2
 
     @property
     def pair_probability(self) -> float:
@@ -99,33 +82,6 @@ def pair_configuration_state(registry: ModeRegistry, n1: int, n2: int,
             n2)
         state = fock.apply_creation(state, Mode("herald2", "matched", "H"), n2)
     return state.normalized()
-
-
-def joint_input_state(s1: SourceParams, s2: SourceParams, max_pairs: int,
-                      registry: ModeRegistry | None = None,
-                      overlap: complex = 1.0) -> PureState:
-    """Coherent two-source input state truncated at max_pairs total pairs.
-
-    Pair configurations (n1, n2) carry amplitudes
-    tanh(zeta1)^n1 * tanh(zeta2)^n2 before normalization.
-    """
-    if max_pairs < 0:
-        raise ValueError("max_pairs must be non-negative")
-    if registry is None:
-        registry = fock.standard_registry(n_max=2 * max_pairs)
-    if 2 * max_pairs > registry.n_max:
-        raise fock.TruncationError(
-            f"2*max_pairs={2 * max_pairs} exceeds N_max={registry.n_max}")
-    terms = {}
-    for n1 in range(max_pairs + 1):
-        for n2 in range(max_pairs + 1 - n1):
-            amp = s1.gamma ** n1 * s2.gamma ** n2
-            if amp == 0.0 and (n1 > 0 or n2 > 0):
-                continue
-            ket = pair_configuration_state(registry, n1, n2, overlap)
-            for occ, a in ket.terms.items():
-                terms[occ] = terms.get(occ, 0.0) + amp * a
-    return PureState(registry, terms).normalized()
 
 
 def sample_pair_count_arrays(s1: SourceParams, s2: SourceParams, size: int,

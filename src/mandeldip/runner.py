@@ -22,9 +22,15 @@ A scan weighs each distinct pattern once by the detectors, sums the
 weighted rows into one coefficient c(n2, k), and evaluates
 sum c(n2, k) C(n2, k) x^k (1-x)^(n2-k) over the delay grid. Every term is
 non-negative, so no rounding can push a perfect post-selected dip below
-zero, and the table's cost does not depend on the grid size. The accidental floor's
-singles are the overlap-0 value of the same table: its k = 0 rows. Two
-execution modes turn p(delay) into `DipCurve`s:
+zero, and the table's cost does not depend on the grid size. The output
+pattern is (c, d, herald1, herald2), one photon count per detector role
+of `detect.ALL_ROLES`.
+
+The accidental floor needs no table: its singles are taken at overlap 0,
+where no photons interfere and each click probability is a closed form
+(`signal_singles_probabilities`).
+
+Two execution modes turn p(delay) into `DipCurve`s:
 
 * analytic -- the expected rate, pulse rate times p(delay).
 * mc -- a seeded Binomial(N, p(delay)) draw of the coincidence count in
@@ -47,24 +53,15 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from . import detect, fock, optics, pdc
-from .detect import (CoincidenceScheme, DetectorModel, GE_1310, INGAAS_1310,
-                     INGAAS_1550_1, INGAAS_1550_2)
+from .detect import (ALL_ROLES, CoincidenceScheme, DetectorModel, GE_1310,
+                     INGAAS_1310, INGAAS_1550_1, INGAAS_1550_2)
 from .optics import FilterSpec
 from .pdc import SourceParams
-
-# Detector role wired to each spatial output group.
-_ROLE_OF_GROUP = {
-    "c": GE_1310,
-    "d": INGAAS_1310,
-    "herald1": INGAAS_1550_1,
-    "herald2": INGAAS_1550_2,
-}
-_GROUP_ORDER = ("c", "d", "herald1", "herald2")
 
 DEFAULT_PULSE_RATE_HZ = 7.6e7  # mode-locked Ti-Sapphire repetition rate
 
@@ -216,8 +213,8 @@ def _pair_configs(cfg: ExperimentConfig) -> List[Tuple[int, int, float]]:
 Row = Tuple[int, int, Tuple[int, ...], float]
 
 
-def _pattern_table(cfg: ExperimentConfig) -> Iterator[Row]:
-    """Yield (n2, k, pattern, prob) over every truncated pair configuration
+def _pattern_table(cfg: ExperimentConfig) -> List[Row]:
+    """(n2, k, pattern, prob) over every truncated pair configuration
     (n1, n2), matched source-2 photon number k and output pattern
     (c, d, herald1, herald2). `prob` leaves out the k-mixture weight
     C(n2, k) x^k (1-x)^(n2-k) (see the module docstring)."""
@@ -228,21 +225,16 @@ def _pattern_table(cfg: ExperimentConfig) -> Iterator[Row]:
                          if abs(a) > fock.PRUNE_THRESHOLD]
               for na in range(cfg.max_pairs + 1)
               for nb in range(cfg.max_pairs + 1 - na)}
+    rows = []
     for n1, n2, p in _pair_configs(cfg):
         if p == 0.0:
             continue
         for k in range(n2 + 1):
             for j, q_matched in splits[n1, k]:
                 for o, q_ortho in splits[0, n2 - k]:
-                    yield (n2, k, (j + o, n1 + n2 - j - o, n1, n2),
-                           p * q_matched * q_ortho)
-
-
-def pattern_table(cfg: ExperimentConfig) -> List[Row]:
-    """The scan's pattern table as a list, for callers that read it more
-    than once: `mandel-dip scan` passes it to both the curve and the
-    accidental floor, so a scan builds it once."""
-    return list(_pattern_table(cfg))
+                    rows.append((n2, k, (j + o, n1 + n2 - j - o, n1, n2),
+                                 p * q_matched * q_ortho))
+    return rows
 
 
 def _coincidence_weight(pattern: Tuple[int, ...], cfg: ExperimentConfig,
@@ -254,8 +246,7 @@ def _coincidence_weight(pattern: Tuple[int, ...], cfg: ExperimentConfig,
     idealized visibility benchmarks); dark counts are ignored there.
     """
     weight = 1.0
-    for group, n in zip(_GROUP_ORDER, pattern):
-        role = _ROLE_OF_GROUP[group]
+    for role, n in zip(ALL_ROLES, pattern):
         if role not in cfg.scheme.roles:
             continue
         det = detectors[role]
@@ -268,12 +259,10 @@ def _coincidence_weight(pattern: Tuple[int, ...], cfg: ExperimentConfig,
     return weight
 
 
-def _coincidence_probs(cfg: ExperimentConfig,
-                       table: Optional[Sequence[Row]] = None) -> np.ndarray:
-    """Per-pulse coincidence probability p(delay) at every grid point,
-    from `table` (`pattern_table(cfg)`, built here when not given)."""
+def _coincidence_probs(cfg: ExperimentConfig) -> np.ndarray:
+    """Per-pulse coincidence probability p(delay) at every grid point."""
     detectors = cfg.effective_detectors()
-    rows = pattern_table(cfg) if table is None else table
+    rows = _pattern_table(cfg)
     weights = {pattern: _coincidence_weight(pattern, cfg, detectors)
                for pattern in dict.fromkeys(row[2] for row in rows)}
     coeffs: Dict[Tuple[int, int], float] = defaultdict(float)
@@ -286,10 +275,9 @@ def _coincidence_probs(cfg: ExperimentConfig,
     return total
 
 
-def dip_curve_analytic(cfg: ExperimentConfig,
-                       table: Optional[Sequence[Row]] = None) -> DipCurve:
+def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
     """Closed-form expected coincidence rate at every delay point."""
-    rates = cfg.pulse_rate_hz * _coincidence_probs(cfg, table)
+    rates = cfg.pulse_rate_hz * _coincidence_probs(cfg)
     return DipCurve(delays_um=tuple(cfg.delays_um),
                     rates_hz=tuple(rates.tolist()),
                     errors_hz=(0.0,) * len(cfg.delays_um),
@@ -320,11 +308,10 @@ def _mc_point(cfg: ExperimentConfig, point_index: int,
     return rate, err
 
 
-def dip_curve_mc(cfg: ExperimentConfig,
-                 table: Optional[Sequence[Row]] = None) -> DipCurve:
+def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
     """Monte Carlo delay scan; deterministic per (seed, point index)."""
     points = [_mc_point(cfg, i, p)
-              for i, p in enumerate(_coincidence_probs(cfg, table).tolist())]
+              for i, p in enumerate(_coincidence_probs(cfg).tolist())]
     return DipCurve(delays_um=tuple(cfg.delays_um),
                     rates_hz=tuple(r for r, _ in points),
                     errors_hz=tuple(e for _, e in points),
@@ -332,35 +319,29 @@ def dip_curve_mc(cfg: ExperimentConfig,
                     config_digest=cfg.digest())
 
 
-def signal_singles_probabilities(cfg: ExperimentConfig,
-                                 table: Optional[Sequence[Row]] = None
-                                 ) -> Dict[str, float]:
+def signal_singles_probabilities(cfg: ExperimentConfig) -> Dict[str, float]:
     """Per-gate signal-only click probability of each scheme detector,
-    evaluated far outside the dip (overlap 0, where only the k = 0 rows
-    of the pattern table carry weight), from `table` as in
-    `_coincidence_probs`."""
+    evaluated far outside the dip (overlap 0). There each photon is
+    thinned on its own: a dark-free detector of efficiency eta that can
+    receive n photons, each with probability f, clicks with probability
+    1 - (1 - f eta)^n. (n, f) is (n1 + n2, 1/2) for c and d, and (n1, 1)
+    and (n2, 1) for the heralds."""
     detectors = cfg.effective_detectors()
-    nodark = {role: DetectorModel(d.name, eta=d.eta, dark_prob=0.0)
-              for role, d in detectors.items()}
-    arrivals: Dict[Tuple[str, int], float] = defaultdict(float)
-    rows = _pattern_table(cfg) if table is None else table
-    for _, k, pattern, prob in rows:
-        if k == 0:
-            for group, n in zip(_GROUP_ORDER, pattern):
-                arrivals[_ROLE_OF_GROUP[group], n] += prob
     singles = {role: 0.0 for role in cfg.scheme.roles}
-    for (role, n), q in arrivals.items():
-        if role in singles:
-            singles[role] += q * detect.click_probability(n, nodark[role])
+    for n1, n2, p in _pair_configs(cfg):
+        arrivals = ((n1 + n2, 0.5), (n1 + n2, 0.5), (n1, 1.0), (n2, 1.0))
+        for role, (n, f) in zip(ALL_ROLES, arrivals):
+            if role in singles:
+                eta = detectors[role].eta
+                singles[role] += p * (1.0 - (1.0 - f * eta) ** n)
     return singles
 
 
-def accidental_floor_hz(cfg: ExperimentConfig,
-                        table: Optional[Sequence[Row]] = None) -> float:
+def accidental_floor_hz(cfg: ExperimentConfig) -> float:
     """Delay-independent accidental-coincidence rate estimate."""
     if cfg.small_eta:
         return 0.0
-    singles = signal_singles_probabilities(cfg, table)
+    singles = signal_singles_probabilities(cfg)
     per_gate = detect.accidental_rate(cfg.scheme, cfg.effective_detectors(),
                                       singles)
     return per_gate * cfg.pulse_rate_hz

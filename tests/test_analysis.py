@@ -246,13 +246,17 @@ def test_runaway_width_raises(seed):
 
 
 def test_non_positive_baseline_raises():
-    # a box-shaped peak: the best Gaussian dip has S < 0
+    # a box-shaped peak: the best Gaussian dip has S < 0; a noiseless
+    # Gaussian peak on no baseline: S is 0 up to rounding (7e-15 of the
+    # 100 Hz peak), so V = (S V) / S is meaningless
     tau = np.linspace(-300, 300, 41)
-    curve = DipCurve(delays_um=tuple(tau),
-                     rates_hz=tuple(np.where(np.abs(tau) < 60, 100.0, 0.0)),
-                     errors_hz=(0.0,) * 41, mode="data")
-    with pytest.raises(RuntimeError, match="S = "):
-        fit_dip(curve)
+    peaks = (np.where(np.abs(tau) < 60, 100.0, 0.0),
+             100.0 * np.exp(-tau ** 2 / (2 * 50.0 ** 2)))
+    for rates in peaks:
+        curve = DipCurve(delays_um=tuple(tau), rates_hz=tuple(rates),
+                         errors_hz=(0.0,) * 41, mode="data")
+        with pytest.raises(RuntimeError, match="S = "):
+            fit_dip(curve)
 
 
 def test_fit_where_every_g_underflows_at_narrow_widths():

@@ -128,7 +128,7 @@ def test_scan_writes_reports_when_fit_raises(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["analytic", "mc"])
 def test_scan_builds_one_pattern_table(tmp_path, monkeypatch, mode):
-    # the curve and the accidental floor read the same table
+    # the curve builds the table once; the accidental floor reads none
     passes = []
     real = runner._pattern_table
 

@@ -1,8 +1,9 @@
 import pytest
 
-from mandeldip import detect
+from mandeldip import detect, runner
 from mandeldip.detect import (CoincidenceScheme, DetectorModel, GE_1310,
                               INGAAS_1310, INGAAS_1550_1, INGAAS_1550_2)
+from mandeldip.pdc import SourceParams
 
 
 def det(eta, dark=0.0, name="det"):
@@ -47,31 +48,30 @@ def make_detectors(dark=0.0):
     }
 
 
+def coincidence_weight(pattern, kind):
+    """Click product of `runner._coincidence_weight` for the output
+    pattern (c, d, herald1, herald2) under scheme `kind`."""
+    vacuum = SourceParams(zeta=0.0)
+    cfg = runner.ExperimentConfig(source1=vacuum, source2=vacuum,
+                                  scheme=CoincidenceScheme(kind),
+                                  delays_um=(0.0,))
+    return runner._coincidence_weight(pattern, cfg, make_detectors())
+
+
 def test_threefold_coincidence_product():
-    scheme = CoincidenceScheme("threefold")
-    pattern = {GE_1310: 1, INGAAS_1310: 1}
-    p = detect.coincidence_probability(pattern, scheme, make_detectors())
-    assert p == pytest.approx(0.03, rel=1e-12)
+    # the heralds' counts do not enter a threefold coincidence
+    assert coincidence_weight((1, 1, 0, 0), "threefold") == pytest.approx(
+        0.03, rel=1e-12)
 
 
 def test_fivefold_coincidence_product():
-    scheme = CoincidenceScheme("fivefold")
-    pattern = {r: 1 for r in detect.ALL_ROLES}
-    p = detect.coincidence_probability(pattern, scheme, make_detectors())
+    p = coincidence_weight((1, 1, 1, 1), "fivefold")
     assert p == pytest.approx(0.1 * 0.3 ** 3, rel=1e-12)
     assert p == pytest.approx(2.7e-3, rel=1e-9)
 
 
 def test_silent_detector_kills_coincidence():
-    scheme = CoincidenceScheme("threefold")
-    pattern = {GE_1310: 2, INGAAS_1310: 0}
-    assert detect.coincidence_probability(pattern, scheme, make_detectors()) == 0.0
-
-
-def test_missing_detector_in_pattern():
-    scheme = CoincidenceScheme("threefold")
-    with pytest.raises(ValueError):
-        detect.coincidence_probability({GE_1310: 1}, scheme, make_detectors())
+    assert coincidence_weight((2, 0, 0, 0), "threefold") == 0.0
 
 
 def test_accidentals_vanish_without_darks():

@@ -5,13 +5,12 @@ import pytest
 
 from mandeldip import fock, optics
 from mandeldip.fock import Mode, PureState
-from mandeldip.optics import DistinguishabilityContext, FilterSpec
+from mandeldip.optics import FilterSpec
 
 
 def test_coherence_length_1310_10nm():
     f = FilterSpec(1310, 10)
     assert optics.coherence_length(f) == pytest.approx(75.0, rel=0.02)
-    assert optics.coherence_time_fs(f) == pytest.approx(250.0, rel=0.02)
 
 
 def test_coherence_length_wavelength_squared_scaling():
@@ -67,51 +66,40 @@ def test_heralded_bandwidth_energy_conservation_guard():
 
 
 def test_overlap_perfect_alignment():
-    ctx = DistinguishabilityContext(delay_um=0.0, coherence_length_um=75.0)
-    assert optics.overlap_amplitude(ctx) ** 2 == pytest.approx(1.0)
+    assert optics.overlap_sq(0.0, 75.0) == pytest.approx(1.0)
 
 
 def test_overlap_orthogonal_polarization():
-    for delay in (0.0, 30.0, 200.0):
-        ctx = DistinguishabilityContext(delay_um=delay, coherence_length_um=75.0,
-                                        polarization_angle_rad=math.pi / 2)
-        assert optics.overlap_amplitude(ctx) ** 2 == pytest.approx(0.0, abs=1e-30)
+    x = optics.overlap_sq([0.0, 30.0, 200.0], 75.0,
+                          polarization_angle_rad=math.pi / 2)
+    assert x == pytest.approx([0.0] * 3, abs=1e-30)
 
 
 def test_dip_fwhm_identity():
     # |m|^2 falls to 1/2 exactly at +-sqrt(2) l_c / 2
     for l_c in (20.0, 75.0, 130.0):
         half = math.sqrt(2) * l_c / 2
-        ctx = DistinguishabilityContext(delay_um=half, coherence_length_um=l_c)
-        assert optics.overlap_amplitude(ctx) ** 2 == pytest.approx(0.5, abs=1e-9)
-        assert optics.dip_fwhm_um(l_c) == pytest.approx(2 * half)
-    assert optics.dip_fwhm_um(75.0) == pytest.approx(107.0, rel=0.01)
+        assert optics.overlap_sq([-half, half], l_c) == pytest.approx(
+            [0.5, 0.5], abs=1e-9)
 
 
 def test_coincidence_profile_is_gaussian_with_dip_fwhm():
     l_c = 75.0
     sigma_d = l_c / (2 * math.sqrt(math.log(2)))
-    for delta in np.linspace(-250, 250, 41):
-        ctx = DistinguishabilityContext(delay_um=float(delta),
-                                        coherence_length_um=l_c)
-        coinc = (1 - optics.overlap_amplitude(ctx) ** 2) / 2
-        expected = (1 - math.exp(-delta ** 2 / (2 * sigma_d ** 2))) / 2
-        assert coinc == pytest.approx(expected, abs=1e-9)
+    delays = np.linspace(-250, 250, 41)
+    coinc = (1 - optics.overlap_sq(delays, l_c)) / 2
+    expected = (1 - np.exp(-delays ** 2 / (2 * sigma_d ** 2))) / 2
+    assert coinc == pytest.approx(expected, abs=1e-9)
 
 
 def test_overlap_monotonicity():
-    base = dict(coherence_length_um=75.0)
-    vals = [optics.overlap_amplitude(
-        DistinguishabilityContext(delay_um=d, **base)) ** 2
-        for d in (0, 20, 40, 80, 160)]
+    vals = optics.overlap_sq([0, 20, 40, 80, 160], 75.0)
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    vals = [optics.overlap_amplitude(DistinguishabilityContext(
-        delay_um=10, polarization_angle_rad=t, **base)) ** 2
-        for t in np.linspace(0, math.pi / 2, 7)]
+    vals = [optics.overlap_sq(10, 75.0, polarization_angle_rad=t)
+            for t in np.linspace(0, math.pi / 2, 7)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    vals = [optics.overlap_amplitude(DistinguishabilityContext(
-        delay_um=10, spectral_mismatch=s, **base)) ** 2
-        for s in (0.0, 0.2, 0.5, 0.9)]
+    vals = [optics.overlap_sq(10, 75.0, spectral_mismatch=s)
+            for s in (0.0, 0.2, 0.5, 0.9)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -144,5 +132,6 @@ def test_filter_validation():
     with pytest.raises(ValueError):
         FilterSpec(1310, 0)
     with pytest.raises(ValueError):
-        DistinguishabilityContext(delay_um=0, coherence_length_um=75,
-                                  spectral_mismatch=1.5)
+        optics.overlap_sq(0.0, 75.0, spectral_mismatch=1.5)
+    with pytest.raises(ValueError):
+        optics.overlap_sq(0.0, 0.0)

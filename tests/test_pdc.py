@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mandeldip import fock, pdc
-from mandeldip.fock import Mode
+from mandeldip import pdc
 from mandeldip.pdc import SourceParams
 
 
@@ -47,12 +46,6 @@ def test_stimulated_emission_identity():
         assert p2 * p0 == pytest.approx(p1 ** 2, rel=1e-12)
 
 
-def test_smallzeta_mode_guard():
-    SourceParams(zeta=0.2027, smallzeta=True)  # 2.7% gap, allowed
-    with pytest.raises(ValueError):
-        SourceParams(zeta=0.5, smallzeta=True)
-
-
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         SourceParams(zeta=-0.1)
@@ -60,66 +53,6 @@ def test_invalid_parameters():
         SourceParams.from_pair_probability(1.0)
     with pytest.raises(ValueError):
         pdc.pair_number_distribution(SourceParams(0.1), -1)
-
-
-def test_joint_state_equal_four_photon_amplitudes():
-    s = SourceParams(zeta=0.2027)
-    state = pdc.joint_input_state(s, s, max_pairs=2)
-    reg = state.registry
-    idx = {name: reg.index(Mode(name, "matched", "H"))
-           for name in ("a", "b", "herald1", "herald2")}
-
-    def occ(n1, n2):
-        out = [0] * len(reg)
-        out[idx["a"]], out[idx["herald1"]] = n1, n1
-        out[idx["b"]], out[idx["herald2"]] = n2, n2
-        return tuple(out)
-
-    a20 = abs(state.amplitude(occ(2, 0)))
-    a11 = abs(state.amplitude(occ(1, 1)))
-    a02 = abs(state.amplitude(occ(0, 2)))
-    assert a20 == pytest.approx(a11, rel=1e-12)
-    assert a02 == pytest.approx(a11, rel=1e-12)
-
-
-def test_joint_state_switched_off_source():
-    s1 = SourceParams(zeta=0.2)
-    s2 = SourceParams(zeta=0.0)
-    state = pdc.joint_input_state(s1, s2, max_pairs=2)
-    reg = state.registry
-    bi = [reg.index(m) for m in reg if m.spatial in ("b", "herald2")]
-    for occ in state.terms:
-        assert all(occ[i] == 0 for i in bi)
-
-
-def test_joint_state_two_photon_amplitude_ratio():
-    s1 = SourceParams(zeta=0.20)
-    s2 = SourceParams(zeta=0.10)
-    state = pdc.joint_input_state(s1, s2, max_pairs=2)
-    reg = state.registry
-    idx = {name: reg.index(Mode(name, "matched", "H"))
-           for name in ("a", "b", "herald1", "herald2")}
-    occ1 = [0] * len(reg)
-    occ1[idx["a"]] = occ1[idx["herald1"]] = 1
-    occ2 = [0] * len(reg)
-    occ2[idx["b"]] = occ2[idx["herald2"]] = 1
-    ratio = abs(state.amplitude(occ1)) / abs(state.amplitude(occ2))
-    assert ratio == pytest.approx(s1.gamma / s2.gamma, rel=1e-12)
-    # first-order expansion: tanh ratio tracks zeta ratio to O(zeta^2)
-    assert ratio == pytest.approx(s1.zeta / s2.zeta, rel=0.01)
-
-
-def test_joint_state_is_normalized():
-    s = SourceParams(zeta=0.3)
-    state = pdc.joint_input_state(s, s, max_pairs=3, overlap=0.7)
-    assert abs(state.norm() - 1.0) < 1e-12
-
-
-def test_joint_state_truncation_guard():
-    reg = fock.standard_registry(n_max=2)
-    with pytest.raises(fock.TruncationError):
-        pdc.joint_input_state(SourceParams(0.2), SourceParams(0.2),
-                              max_pairs=2, registry=reg)
 
 
 def test_sampling_zero_sources():

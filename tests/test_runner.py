@@ -10,7 +10,6 @@ import pytest
 
 from mandeldip import analysis, cli, detect, fock, optics, pdc, runner
 from mandeldip.detect import CoincidenceScheme, DetectorModel
-from mandeldip.optics import DistinguishabilityContext
 from mandeldip.pdc import SourceParams
 from mandeldip.runner import ExperimentConfig
 
@@ -241,7 +240,8 @@ def fock_pattern_distribution(cfg, overlap):
     """Reference: (pattern, probability) over every truncated pair
     configuration, from the full Fock state through the beam splitter."""
     registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
-    grouping = fock.spatial_grouping(registry, runner._GROUP_ORDER)
+    # one group per detector role, in `detect.ALL_ROLES` order
+    grouping = fock.spatial_grouping(registry, ("c", "d", "herald1", "herald2"))
     for n1, n2, p in runner._pair_configs(cfg):
         if p == 0.0:
             continue
@@ -257,10 +257,9 @@ def pointwise_rates(cfg):
     detectors = cfg.effective_detectors()
     rates = []
     for d in cfg.delays_um:
-        m = optics.overlap_amplitude(DistinguishabilityContext(
-            delay_um=d, coherence_length_um=cfg.coherence_length_um(),
-            polarization_angle_rad=cfg.polarization_angle_rad,
-            spectral_mismatch=cfg.spectral_mismatch))
+        m = math.sqrt(optics.overlap_sq(
+            d, cfg.coherence_length_um(), cfg.polarization_angle_rad,
+            cfg.spectral_mismatch))
         p = sum(pq * runner._coincidence_weight(pattern, cfg, detectors)
                 for pattern, pq in fock_pattern_distribution(cfg, m))
         rates.append(cfg.pulse_rate_hz * p)
@@ -305,20 +304,22 @@ def test_analytic_fock_passes_do_not_grow_with_grid(monkeypatch):
                                   "lab_fivefold"])
 def test_singles_match_fock_sum_at_zero_overlap(name):
     base = cli.parse_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
-    for max_pairs in (3, 4, 5, 6):
-        cfg = dataclasses.replace(base, max_pairs=max_pairs)
+    zero = SourceParams(zeta=0.0)
+    variants = [dict(max_pairs=k) for k in (3, 4, 5, 6)]
+    variants += [dict(source1=zero), dict(source2=zero)]
+    for variant in variants:
+        cfg = dataclasses.replace(base, **variant)
         nodark = {role: DetectorModel(d.name, eta=d.eta, dark_prob=0.0)
                   for role, d in cfg.effective_detectors().items()}
         expected = {role: 0.0 for role in cfg.scheme.roles}
         for pattern, pq in fock_pattern_distribution(cfg, 0.0):
-            for group, n in zip(runner._GROUP_ORDER, pattern):
-                role = runner._ROLE_OF_GROUP[group]
+            for role, n in zip(detect.ALL_ROLES, pattern):
                 if role in expected:
                     expected[role] += pq * detect.click_probability(n, nodark[role])
         got = runner.signal_singles_probabilities(cfg)
         assert got.keys() == expected.keys()
         for role, want in expected.items():
-            assert abs(got[role] - want) <= 1e-12 * want, (max_pairs, role)
+            assert abs(got[role] - want) <= 1e-12 * want, (variant, role)
 
 
 def test_perfect_post_selected_dip_stays_non_negative():
