@@ -99,8 +99,6 @@ def test_hom_null():
     amps = engine_cd_amplitudes(out)
     assert amps[(2, 0)] == pytest.approx(1j / math.sqrt(2), abs=1e-14)
     assert amps[(0, 2)] == pytest.approx(1j / math.sqrt(2), abs=1e-14)
-    # golden: exactly these two terms, purely imaginary, to the last bit
-    assert amps == {(2, 0): 0.70710678118654746j, (0, 2): 0.70710678118654746j}
 
 
 def test_vacuum_is_invariant():
@@ -239,6 +237,23 @@ def test_superposed_creation_binomial():
     occ11[bi] = occ11[oi] = 1
     assert abs(st.amplitude(occ20)) ** 2 == pytest.approx(m ** 4, abs=1e-12)
     assert abs(st.amplitude(occ11)) ** 2 == pytest.approx(2 * m ** 2 * q ** 2, abs=1e-12)
+
+
+def debug_text(state):
+    """`amp_re amp_im | n1 n2 ... nk` lines, basis terms in lexicographic
+    registry order, so a golden pins every term to the last bit."""
+    return [f"{amp.real:.17g} {amp.imag:.17g} | " + " ".join(map(str, occ))
+            for occ, amp in sorted(state.terms.items())]
+
+
+def test_debug_serialization_golden():
+    reg = single_sublabel_registry()
+    st = PureState.basis(reg, {A: 1, B: 1})
+    out = fock.apply_beamsplitter(st)
+    assert debug_text(out) == [
+        "0 0.70710678118654746 | 0 0 0 2",
+        "0 0.70710678118654746 | 0 0 2 0",
+    ]
 
 
 def test_beamsplitter_amplitudes_kernel():
