@@ -6,9 +6,10 @@ half width; FWHM = 2 sqrt(2 ln 2) sigma. Fitting is weighted least
 squares by variable projection: for a fixed sigma the model is linear in
 (S, S V), which two normal equations give in closed form, so only sigma
 is searched, over a bounded range [half the smallest delay step, grid
-span]. The search costs the same on every curve and cannot run off to
-an unbounded width. The covariance comes from the analytic Jacobian at
-the reported parameters.
+span]: on a fixed grid of widths, then refined one width at a time. The
+search costs the same on every curve and cannot run off to an unbounded
+width. The covariance comes from the analytic Jacobian at the reported
+parameters.
 """
 
 from __future__ import annotations
@@ -94,13 +95,14 @@ def _width_profile(tau, y, w2):
 
     For a fixed width sigma the model a - b g(tau), with
     g = exp(-tau^2 / (2 sigma^2)), is linear in (a, b) = (S, S V). The
-    returned function maps a 1-D array of widths to, per width, that
-    weighted least-squares (a, b), the determinant of the 2x2 normal
-    equations over the weight sum, sum w^2 (g - mean g)^2 (0 when every
-    g is equal, e.g. all underflowed to 0, and the system is singular;
-    b is then 0), the cost c(sigma) and dc/dsigma. By the envelope
-    theorem dc/dsigma is the partial derivative at fixed (a, b), so it
-    costs one pass over the curve.
+    first returned function maps a 1-D array of widths to, per width,
+    that weighted least-squares (a, b), the determinant of the 2x2
+    normal equations over the weight sum, sum w^2 (g - mean g)^2 (0 when
+    every g is equal, e.g. all underflowed to 0, and the system is
+    singular; b is then 0), the cost c(sigma) and dc/dsigma. The second
+    maps one width to (a, b, det, dc/dsigma) as floats, with 1-D arrays.
+    By the envelope theorem dc/dsigma is the partial derivative at fixed
+    (a, b), so it costs one pass over the curve.
     """
     tau2 = tau ** 2
     wn = w2 / np.sum(w2)
@@ -119,7 +121,17 @@ def _width_profile(tau, y, w2):
         dcost = 2.0 * b * ((r * g) @ w2_tau2) / sigma ** 3
         return y_mean + b * g_mean, b, det, r ** 2 @ w2, dcost
 
-    return profile
+    def at(sigma):
+        g = np.exp(tau2 / (-2.0 * sigma ** 2))
+        g_mean = float(g @ wn)
+        gc = g - g_mean
+        det = float(gc ** 2 @ w2)
+        b = -float(gc @ w2_yc) / det if det > 0.0 else 0.0
+        r = b * gc + yc
+        dcost = 2.0 * b * float((r * g) @ w2_tau2) / sigma ** 3
+        return y_mean + b * g_mean, b, det, dcost
+
+    return profile, at
 
 
 def fit_dip(curve: DipCurve) -> DipFit:
@@ -132,15 +144,15 @@ def fit_dip(curve: DipCurve) -> DipFit:
     over [half the smallest delay step, grid span]: c is evaluated on a
     fixed log-spaced grid of widths, and the grid minimum is refined by
     a bracketed root find (regula falsi with Anderson-Bjorck steps) on
-    dc/dsigma. `iterations` counts those refinements. Raises
-    RuntimeError when the minimum sits at either end of the width range,
-    the 2x2 system is singular, or S comes out at most 1e-12 of the
-    curve's largest rate (a vanishing or negative baseline); also, as
-    safeguards, when dc/dsigma does not change sign across the grid
-    minimum or the refinement does not settle. A fitted V outside
-    [0, 1] is clamped into it with a warning and reported as `clamped`.
-    A flat curve pins V at 0 with a warning instead of fitting a
-    degenerate width.
+    dc/dsigma that evaluates one width per step. `iterations` counts
+    those refinements. Raises RuntimeError when the minimum sits at
+    either end of the width range, the 2x2 system is singular, or S
+    comes out at most 1e-12 of the curve's largest rate (a vanishing or
+    negative baseline); also, as safeguards, when dc/dsigma does not
+    change sign across the grid minimum or the refinement does not
+    settle. A fitted V outside [0, 1] is clamped into it with a warning
+    and reported as `clamped`. A flat curve pins V at 0 with a warning
+    instead of fitting a degenerate width.
     """
     tau = np.asarray(curve.delays_um, dtype=float)
     y = np.asarray(curve.rates_hz, dtype=float)
@@ -168,7 +180,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
     steps = steps[steps > 0.0]
     if steps.size == 0:
         raise ValueError("fit requires at least two distinct delays")
-    profile = _width_profile(tau, y, w ** 2)
+    profile, at = _width_profile(tau, y, w ** 2)
     lo_width, hi_width = 0.5 * float(np.min(steps)), float(np.sum(steps))
     widths = lo_width * (hi_width / lo_width) ** _UNIT_STEPS
     a_grid, b_grid, det_grid, cost, dcost = profile(widths)
@@ -195,7 +207,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
                                f"{_MAX_REFINEMENTS} width refinements")
         iterations += 1
         x_new = x1 - f1 * (x1 - x0) / (f1 - f0)
-        a, b, det, _, f = (float(v[0]) for v in profile(np.array([x_new])))
+        a, b, det, f = at(x_new)
         done = f == 0.0 or abs(x_new - x) <= _WIDTH_RTOL * x_new
         x = x_new
         if done:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -145,7 +146,13 @@ def read_curve_csv(path: Path) -> DipCurve:
         if header != CSV_HEADER:
             raise ConfigError(
                 f"CSV header must be {','.join(CSV_HEADER)!r}")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
+        try:
+            rows = [(float(d), float(r), float(e))
+                    for d, r, e in filter(None, reader)]
+        except ValueError as exc:
+            # the reader stops at the offending row
+            raise ConfigError(f"CSV line {reader.line_num}: expected three "
+                              f"numbers ({exc})") from None
     if not rows:
         raise ConfigError("CSV contains no data rows")
     delays, rates, errs = zip(*rows)
@@ -229,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--pair-probability", "-P", type=float, required=True)
     p_an.add_argument("--overlap-sq", type=float, default=1.0,
                       help="center overlap |m|^2 (default 1)")
-    p_an.set_defaults(func=cmd_analytic)
 
     p_scan = sub.add_parser("scan", help="run a delay scan from a JSON config")
     p_scan.add_argument("config", help="path to JSON config")
@@ -237,18 +243,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", required=True, help="output directory")
     p_scan.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    p_scan.set_defaults(func=cmd_scan)
 
     p_fit = sub.add_parser("fit", help="fit a curve CSV")
     p_fit.add_argument("csv", help="path to curve CSV")
-    p_fit.set_defaults(func=cmd_fit)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first `main` call, not at import, and reused by every
+    # later call in the process
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a handler replaced on the module runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc),
                           "type": type(exc).__name__}), file=sys.stderr)

@@ -177,8 +177,12 @@ class DipCurve:
     def __post_init__(self):
         if not (len(self.delays_um) == len(self.rates_hz) == len(self.errors_hz)):
             raise ValueError("curve arrays must have equal lengths")
-        if any(r < 0 for r in self.rates_hz) or any(e < 0 for e in self.errors_hz):
-            raise ValueError("rates and errors must be non-negative")
+        if not all(-math.inf < d < math.inf for d in self.delays_um):
+            raise ValueError("delays must be finite")
+        if not (all(0.0 <= r < math.inf for r in self.rates_hz)
+                and all(0.0 <= e < math.inf for e in self.errors_hz)):
+            raise ValueError("rates and errors must be finite and "
+                             "non-negative")
 
     def __len__(self) -> int:
         return len(self.delays_um)

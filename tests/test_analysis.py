@@ -296,3 +296,33 @@ def test_fit_is_stationary_on_resolved_binomial_curves():
         wj = dip_jacobian(tau, *params) * w[:, None]
         bound = 1e-6 * np.linalg.norm(wj, axis=0) * np.linalg.norm(wr)
         assert np.all(np.abs(wj.T @ wr) <= bound)
+
+
+def test_scalar_width_evaluation_matches_vector_profile():
+    # the refinement's one-width path against the vector profile called
+    # with that one width, as the refinement used to call it, over the
+    # whole width range; on the second grid (no delay near 0) every g
+    # underflows at the narrowest widths, where det == 0 gives b == 0.
+    # (a, b, det) also match the grid pass; its dc/dsigma sums in
+    # another order and loses up to ~1e-8 where that sum cancels.
+    rng = np.random.default_rng(9)
+    tau = np.linspace(-300.0, 300.0, 31)
+    noisy = dip_model(tau, 160.0, 0.6, 50.0) + rng.normal(0.0, 2.0, tau.size)
+    far = 300.0 + 10.0 * np.arange(41)
+    for tau, y, err in ((tau, noisy, rng.uniform(1.0, 3.0, tau.size)),
+                        (far, dip_model(far, 50.0, 0.8, 200.0),
+                         np.ones(far.size))):
+        profile, at = analysis._width_profile(tau, y, err ** -2.0)
+        steps = np.diff(tau)
+        lo, hi = 0.5 * steps.min(), steps.sum()
+        widths = lo * (hi / lo) ** np.linspace(0.0, 1.0, 25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grid = np.array(profile(widths)[:3]).T
+            one = np.array([np.concatenate(profile(np.array([x])))[[0, 1, 2, 4]]
+                            for x in widths])
+            scalar = np.array([at(float(x)) for x in widths])
+        np.testing.assert_allclose(scalar, one, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(scalar[:, :3], grid, rtol=1e-13, atol=0.0)
+    assert scalar[0, 1] == 0.0 and scalar[0, 2] == 0.0
+    assert scalar[-1, 2] > 0.0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -246,3 +247,58 @@ def test_shipped_configs_parse():
         data = json.loads((CONFIG_DIR / name).read_text())
         cfg = cli.parse_config(data)
         assert len(cfg.delays_um) >= 5
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("1,2", "line 12"),              # too few fields
+    ("0,nan,1", "finite"),           # a rate that passes r < 0
+    ("0,100,inf", "finite"),         # an error that would weigh 0
+    ("inf,100,1", "finite"),
+])
+def test_fit_rejects_malformed_rows(tmp_path, capsys, bad_row, message):
+    delays = np.linspace(-300, 300, 21)
+    rates = dip_model(delays, 160.0, 0.28, 60.0)
+    lines = ["delay_um,rate_hz,err_hz"] + [f"{d},{r},1" for d, r in
+                                           zip(delays, rates)]
+    lines[11] = bad_row
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["fit", str(csv_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert message in err["error"]
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    assert cli.main(["analytic", "-P", "0.04"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["analytic", "-P", "0.04"]) == 0
+    assert built == []
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    cfg = base_config(small_eta=False)
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["scan", str(cfg_path), "--mode", "mc", "--seed", "7",
+                     "--out", str(tmp_path / "mc")]) == 0
+    out = tmp_path / "default"
+    assert cli.main(["scan", str(cfg_path), "--out", str(out)]) == 0
+    analytic = tmp_path / "analytic.csv"
+    cli.write_curve_csv(runner.dip_curve_analytic(cli.parse_config(cfg)),
+                        analytic)
+    assert (out / "curve.csv").read_text() == analytic.read_text()
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+
+
+def test_handler_replaced_after_parser_exists_runs(monkeypatch, capsys):
+    assert cli.main(["analytic", "-P", "0.04"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_fit", lambda args: seen.append(args.csv) or 0)
+    assert cli.main(["fit", "curve.csv"]) == 0
+    assert seen == ["curve.csv"]
