@@ -36,55 +36,80 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(mapping: dict, key: str, where: str):
+_REQUIRED = object()
+_JSON_TYPES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(mapping, key: str, where: str, kind: type = float,
+           default=_REQUIRED):
+    """`mapping[key]` as `kind`, or `default` when the key is absent.
+
+    Only the matching JSON type is accepted: a number is never a bool,
+    string or null, and an integer has no fractional part. A wrong type
+    is a ConfigError, not a TypeError or a silent conversion.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
     if key not in mapping:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return mapping[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in {where}")
+        return default
+    value = mapping[key]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool)
+                                           and kind is not bool):
+        raise ConfigError(f"{key!r} in {where} must be {_JSON_TYPES[kind]}")
+    return kind(value)
 
 
-def _parse_source(entry: dict, where: str) -> SourceParams:
-    if "zeta" in entry:
-        return SourceParams(zeta=float(entry["zeta"]))
-    if "P" in entry:
-        return SourceParams.from_pair_probability(float(entry["P"]))
+def _parse_source(entry, where: str) -> SourceParams:
+    zeta = _field(entry, "zeta", where, default=None)
+    if zeta is not None:
+        return SourceParams(zeta=zeta)
+    p = _field(entry, "P", where, default=None)
+    if p is not None:
+        return SourceParams.from_pair_probability(p)
     raise ConfigError(f"{where} needs either 'zeta' or 'P'")
 
 
 def parse_config(data: dict, seed_override: Optional[int] = None
                  ) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON config schema."""
-    sources = _require(data, "sources", "config")
-    if not isinstance(sources, list) or len(sources) != 2:
+    sources = _field(data, "sources", "config", list)
+    if len(sources) != 2:
         raise ConfigError("'sources' must be a list of two entries")
     s1 = _parse_source(sources[0], "sources[0]")
     s2 = _parse_source(sources[1], "sources[1]")
 
-    filters = _require(data, "filters", "config")
-    signal = FilterSpec(float(_require(filters, "signal_nm", "filters")),
-                        float(_require(filters, "signal_fwhm_nm", "filters")))
-    herald = FilterSpec(float(_require(filters, "herald_nm", "filters")),
-                        float(_require(filters, "herald_fwhm_nm", "filters")))
+    filters = _field(data, "filters", "config", dict)
+    signal = FilterSpec(_field(filters, "signal_nm", "filters"),
+                        _field(filters, "signal_fwhm_nm", "filters"))
+    herald = FilterSpec(_field(filters, "herald_nm", "filters"),
+                        _field(filters, "herald_fwhm_nm", "filters"))
     # energy conservation fixes the pump centre: 1/pump = 1/signal + 1/herald
     pump = FilterSpec(1.0 / (1.0 / signal.center_nm + 1.0 / herald.center_nm),
-                      float(_require(filters, "pump_fwhm_nm", "filters")))
+                      _field(filters, "pump_fwhm_nm", "filters"))
 
-    det_entries = _require(data, "detectors", "config")
-    if not isinstance(det_entries, list) or len(det_entries) != 4:
+    det_entries = _field(data, "detectors", "config", list)
+    if len(det_entries) != 4:
         raise ConfigError("'detectors' must list 4 entries "
                           "(Ge-1310, InGaAs-1310, InGaAs-1550-1, InGaAs-1550-2)")
     detectors = {}
     for role, entry in zip(ALL_ROLES, det_entries):
+        where = f"detectors[{role}]"
         detectors[role] = DetectorModel(
-            role,
-            eta=float(_require(entry, "eta", f"detectors[{role}]")),
-            dark_prob=float(entry.get("dark_prob", 0.0)))
+            role, eta=_field(entry, "eta", where),
+            dark_prob=_field(entry, "dark_prob", where, default=0.0))
 
-    scheme = CoincidenceScheme(str(_require(data, "scheme", "config")))
+    scheme = CoincidenceScheme(_field(data, "scheme", "config", str))
 
-    delays = _require(data, "delays", "config")
-    lo = float(_require(delays, "min_um", "delays"))
-    hi = float(_require(delays, "max_um", "delays"))
-    step = float(_require(delays, "step_um", "delays"))
+    delays = _field(data, "delays", "config", dict)
+    lo = _field(delays, "min_um", "delays")
+    hi = _field(delays, "max_um", "delays")
+    step = _field(delays, "step_um", "delays")
     if step <= 0 or hi < lo:
         raise ConfigError("delays require step_um > 0 and max_um >= min_um")
     grid, x = [], lo
@@ -94,8 +119,8 @@ def parse_config(data: dict, seed_override: Optional[int] = None
     if not grid:
         raise ConfigError("empty delay grid")
 
-    mc = data.get("mc", {})
-    seed = int(mc.get("seed", 0))
+    mc = _field(data, "mc", "config", dict, default={})
+    seed = _field(mc, "seed", "mc", int, default=0)
     if seed_override is not None:
         seed = seed_override
 
@@ -105,15 +130,19 @@ def parse_config(data: dict, seed_override: Optional[int] = None
             signal_filter=signal, herald_filter=herald, pump_filter=pump,
             detectors=detectors, scheme=scheme,
             delays_um=tuple(grid),
-            pulses_per_point=int(mc.get("pulses_per_point", 100_000)),
+            pulses_per_point=_field(mc, "pulses_per_point", "mc", int,
+                                    default=100_000),
             seed=seed,
-            pulse_rate_hz=float(data.get("pulse_rate_hz",
-                                         runner.DEFAULT_PULSE_RATE_HZ)),
-            collection_efficiency=float(data.get("collection_efficiency", 1.0)),
-            polarization_angle_rad=float(data.get("polarization_angle_rad", 0.0)),
-            spectral_mismatch=float(data.get("spectral_mismatch", 0.0)),
-            max_pairs=int(data.get("max_pairs", 3)),
-            small_eta=bool(data.get("small_eta", False)),
+            pulse_rate_hz=_field(data, "pulse_rate_hz", "config",
+                                 default=runner.DEFAULT_PULSE_RATE_HZ),
+            collection_efficiency=_field(data, "collection_efficiency",
+                                         "config", default=1.0),
+            polarization_angle_rad=_field(data, "polarization_angle_rad",
+                                          "config", default=0.0),
+            spectral_mismatch=_field(data, "spectral_mismatch", "config",
+                                     default=0.0),
+            max_pairs=_field(data, "max_pairs", "config", int, default=3),
+            small_eta=_field(data, "small_eta", "config", bool, default=False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -206,7 +235,7 @@ def cmd_scan(args) -> int:
 
     manifest = {
         "config_digest": hashlib.sha256(config_text.encode()).hexdigest(),
-        "experiment_digest": cfg.digest(),
+        "experiment_digest": curve.config_digest,
         "tool_version": __version__,
         "seed": cfg.seed,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

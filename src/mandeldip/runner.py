@@ -3,8 +3,8 @@ detector layers, plus the closed-form visibility benchmarks.
 
 One engine computes the per-pulse coincidence probability p(delay):
 enumerate pair configurations (n1, n2) up to the truncation, split each
-through the beam splitter, and sum detector click products over the
-output photon-count patterns.
+through the beam splitter, and weigh the photon counts that reach the
+detectors by their clicks.
 
 The delay enters only through the overlap x = |m(delay)|^2. Each
 source-2 photon is m*b(matched) + sqrt(1-x)*b(orthogonal), so the
@@ -14,21 +14,21 @@ matched wave packet, into |n1, k> on the matched sublabel and
 The beam splitter never mixes sublabels and conserves the photon number
 of each, so terms of different k stay orthogonal, and within one k the
 two sublabels split independently by the closed-form two-mode amplitudes
-of `fock.beamsplitter_amplitudes`. The heralds stay at (n1, n2). Every
-output pattern's probability is therefore the binomial mixture over k of
-products of two two-mode splits, and no Fock state is built.
+of `fock.beamsplitter_amplitudes`. The heralds stay at (n1, n2), and no
+Fock state is built.
 
-A scan weighs each distinct pattern once by the detectors, sums the
-weighted rows into one coefficient c(n2, k), and evaluates
-sum c(n2, k) C(n2, k) x^k (1-x)^(n2-k) over the delay grid. Every term is
-non-negative, so no rounding can push a perfect post-selected dip below
-zero, and the table's cost does not depend on the grid size. The output
-pattern is (c, d, herald1, herald2), one photon count per detector role
-of `detect.ALL_ROLES`.
+A threshold detector's click depends only on how many photons reach it,
+so a coincidence weighs a product of one factor per detector role
+(`_click_weights`). A scan adds, for every (n1, n2, k), the herald
+weights times the c and d weights summed over the two splits into one
+coefficient c(n2, k), and evaluates sum c(n2, k) C(n2, k) x^k (1-x)^(n2-k)
+over the delay grid. Every term is non-negative, so no rounding can push
+a perfect post-selected dip below zero, and the coefficients' cost does
+not depend on the grid size.
 
-The accidental floor needs no table: its singles are taken at overlap 0,
-where no photons interfere and each click probability is a closed form
-(`signal_singles_probabilities`).
+The accidental floor needs none of this: its singles are taken at
+overlap 0, where no photons interfere and each click probability is a
+closed form (`signal_singles_probabilities`).
 
 Two execution modes turn p(delay) into `DipCurve`s:
 
@@ -98,12 +98,15 @@ class ExperimentConfig:
     small_eta: bool = False
 
     def __post_init__(self):
+        # stored as declared, also when the grid comes as an array
+        object.__setattr__(self, "delays_um", tuple(map(float, self.delays_um)))
         if len(self.delays_um) == 0:
             raise ValueError("delay grid must be non-empty")
         if any(b <= a for a, b in zip(self.delays_um, self.delays_um[1:])):
             raise ValueError("delay grid must be strictly increasing")
-        if self.pulses_per_point < 1:
-            raise ValueError("pulses_per_point must be >= 1")
+        # the MC's binomial draw takes the pulse count as an int64
+        if not 1 <= self.pulses_per_point <= 2 ** 63 - 1:
+            raise ValueError("pulses_per_point must lie in [1, 2**63 - 1]")
         if not 0.0 < self.collection_efficiency <= 1.0:
             raise ValueError("collection_efficiency must lie in (0, 1]")
         if self.max_pairs < 1:
@@ -140,26 +143,9 @@ class ExperimentConfig:
                                  self.spectral_mismatch)
 
     def digest(self) -> str:
-        """Stable content hash of the configuration."""
-        payload = {
-            "sources": [self.source1.zeta, self.source2.zeta],
-            "signal_filter": [self.signal_filter.center_nm, self.signal_filter.fwhm_nm],
-            "herald_filter": [self.herald_filter.center_nm, self.herald_filter.fwhm_nm],
-            "pump_filter": [self.pump_filter.center_nm, self.pump_filter.fwhm_nm],
-            "detectors": {r: [d.eta, d.dark_prob]
-                          for r, d in sorted(self.detectors.items())},
-            "scheme": self.scheme.kind,
-            "delays_um": list(self.delays_um),
-            "pulses_per_point": self.pulses_per_point,
-            "seed": self.seed,
-            "pulse_rate_hz": self.pulse_rate_hz,
-            "collection_efficiency": self.collection_efficiency,
-            "polarization_angle_rad": self.polarization_angle_rad,
-            "spectral_mismatch": self.spectral_mismatch,
-            "max_pairs": self.max_pairs,
-            "small_eta": self.small_eta,
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """Stable content hash of every field of the configuration."""
+        text = json.dumps(vars(self), sort_keys=True, default=vars,
+                          separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -213,65 +199,48 @@ def _pair_configs(cfg: ExperimentConfig) -> List[Tuple[int, int, float]]:
     return [(n1, n2, p / z) for n1, n2, p in raw]
 
 
-# One pattern-table row: (n2, k, pattern, prob).
-Row = Tuple[int, int, Tuple[int, ...], float]
+def _click_weights(cfg: ExperimentConfig) -> List[List[float]]:
+    """Click weight of 0..max_pairs photons per detector role, in
+    `detect.ALL_ROLES` order; a coincidence multiplies one per role.
 
-
-def _pattern_table(cfg: ExperimentConfig) -> List[Row]:
-    """(n2, k, pattern, prob) over every truncated pair configuration
-    (n1, n2), matched source-2 photon number k and output pattern
-    (c, d, herald1, herald2). `prob` leaves out the k-mixture weight
-    C(n2, k) x^k (1-x)^(n2-k) (see the module docstring)."""
-    # |kc-amplitude|^2 of every two-mode split |na, nb> a scan can need;
-    # splits that interfere away are dropped
-    splits = {(na, nb): [(kc, abs(a) ** 2) for (kc, _), a
-                         in fock.beamsplitter_amplitudes(na, nb).items()
-                         if abs(a) > fock.PRUNE_THRESHOLD]
-              for na in range(cfg.max_pairs + 1)
-              for nb in range(cfg.max_pairs + 1 - na)}
-    rows = []
-    for n1, n2, p in _pair_configs(cfg):
-        if p == 0.0:
-            continue
-        for k in range(n2 + 1):
-            for j, q_matched in splits[n1, k]:
-                for o, q_ortho in splits[0, n2 - k]:
-                    rows.append((n2, k, (j + o, n1 + n2 - j - o, n1, n2),
-                                 p * q_matched * q_ortho))
-    return rows
-
-
-def _coincidence_weight(pattern: Tuple[int, ...], cfg: ExperimentConfig,
-                        detectors: Mapping[str, DetectorModel]) -> float:
-    """Per-pattern detection weight for the configured scheme.
-
-    Exact mode multiplies threshold click probabilities. In small-eta
+    Finite-eta mode takes threshold click probabilities. In small-eta
     mode each click is weighted n * eta (the eta -> 0 limit used for the
-    idealized visibility benchmarks); dark counts are ignored there.
+    idealized visibility benchmarks); dark counts are ignored there. A
+    role outside the scheme weighs 1.
     """
-    weight = 1.0
-    for role, n in zip(ALL_ROLES, pattern):
+    detectors = cfg.effective_detectors()
+    photons = range(cfg.max_pairs + 1)
+    weights = []
+    for role in ALL_ROLES:
         if role not in cfg.scheme.roles:
-            continue
-        det = detectors[role]
-        if cfg.small_eta:
-            weight *= n * det.eta
+            weights.append([1.0] * len(photons))
+        elif cfg.small_eta:
+            weights.append([n * detectors[role].eta for n in photons])
         else:
-            weight *= detect.click_probability(n, det)
-        if weight == 0.0:
-            return 0.0
-    return weight
+            weights.append([detect.click_probability(n, detectors[role])
+                            for n in photons])
+    return weights
 
 
 def _coincidence_probs(cfg: ExperimentConfig) -> np.ndarray:
     """Per-pulse coincidence probability p(delay) at every grid point."""
-    detectors = cfg.effective_detectors()
-    rows = _pattern_table(cfg)
-    weights = {pattern: _coincidence_weight(pattern, cfg, detectors)
-               for pattern in dict.fromkeys(row[2] for row in rows)}
+    w_c, w_d, w_h1, w_h2 = _click_weights(cfg)
+    # output-c photon-number distribution of every two-mode split
+    # |na, nb> a scan can need, indexed by kc
+    splits = {(na, nb): [abs(a) ** 2 for _, a in
+                         sorted(fock.beamsplitter_amplitudes(na, nb).items())]
+              for na in range(cfg.max_pairs + 1)
+              for nb in range(cfg.max_pairs + 1 - na)}
     coeffs: Dict[Tuple[int, int], float] = defaultdict(float)
-    for n2, k, pattern, prob in rows:
-        coeffs[n2, k] += prob * weights[pattern]
+    for n1, n2, p in _pair_configs(cfg):
+        heralded = p * w_h1[n1] * w_h2[n2]
+        if heralded == 0.0:
+            continue
+        for k in range(n2 + 1):
+            coeffs[n2, k] += heralded * sum(
+                q_m * q_o * w_c[j + o] * w_d[n1 + n2 - j - o]
+                for j, q_m in enumerate(splits[n1, k])
+                for o, q_o in enumerate(splits[0, n2 - k]))
     x = cfg.overlaps_sq()
     total = np.zeros_like(x)
     for (n2, k), c in coeffs.items():

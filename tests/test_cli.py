@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mandeldip import analysis, cli, runner
+from mandeldip import analysis, cli, fock, runner
 from mandeldip.analysis import dip_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -128,20 +128,24 @@ def test_scan_writes_reports_when_fit_raises(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["analytic", "mc"])
-def test_scan_builds_one_pattern_table(tmp_path, monkeypatch, mode):
-    # the curve builds the table once; the accidental floor reads none
-    passes = []
-    real = runner._pattern_table
+def test_scan_runs_the_engine_once(tmp_path, monkeypatch, mode):
+    # the curve runs the engine once; the accidental floor splits nothing
+    calls = []
+    real = fock.beamsplitter_amplitudes
 
-    def counting(cfg):
-        passes.append(cfg)
-        return real(cfg)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(runner, "_pattern_table", counting)
+    monkeypatch.setattr(fock, "beamsplitter_amplitudes", counting)
+    config = CONFIG_DIR / "lab_fivefold.json"
+    runner._coincidence_probs(cli.parse_config(json.loads(config.read_text())))
+    per_engine = len(calls)
+    calls.clear()
     out_dir = tmp_path / "out"
-    assert cli.main(["scan", str(CONFIG_DIR / "lab_fivefold.json"),
-                     "--mode", mode, "--out", str(out_dir)]) == 0
-    assert len(passes) == 1
+    assert cli.main(["scan", str(config), "--mode", mode,
+                     "--out", str(out_dir)]) == 0
+    assert len(calls) == per_engine > 0
     report = json.loads((out_dir / "fit.json").read_text())
     assert report["accidental_hz"] > 0.0
 
@@ -185,6 +189,37 @@ def test_scan_missing_key_fails(tmp_path, capsys):
     assert cli.main(["scan", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "filters" in err["error"]
+
+
+FOUR_DETECTORS = [{"eta": 0.3}] * 4
+
+
+@pytest.mark.parametrize("override, named", [
+    pytest.param({"sources": [{"P": None}, {"P": 0.04}]}, "'P'", id="P-null"),
+    pytest.param({"sources": [{"P": "0.04"}, {"P": 0.04}]}, "'P'",
+                 id="P-string"),
+    pytest.param({"sources": [0.04, {"P": 0.04}]}, "sources[0]",
+                 id="source-number"),
+    pytest.param({"detectors": [0.1] + FOUR_DETECTORS[1:]},
+                 "detectors[Ge-1310]", id="detector-number"),
+    pytest.param({"detectors": [{"eta": True}] + FOUR_DETECTORS[1:]}, "'eta'",
+                 id="eta-bool"),
+    pytest.param({"delays": None}, "'delays'", id="delays-null"),
+    pytest.param({"mc": []}, "'mc'", id="mc-list"),
+    pytest.param({"mc": {"pulses_per_point": 1e30}}, "pulses_per_point",
+                 id="pulses-beyond-int64"),
+    pytest.param({"mc": {"seed": 1.5}}, "'seed'", id="seed-fraction"),
+    pytest.param({"small_eta": "false"}, "'small_eta'", id="small_eta-string"),
+    pytest.param({"max_pairs": 2.7}, "'max_pairs'", id="max_pairs-fraction"),
+])
+def test_scan_rejects_config_values_of_the_wrong_type(tmp_path, capsys,
+                                                       override, named):
+    cfg_path = write_config(tmp_path,
+                            base_config(**{"small_eta": False, **override}))
+    assert cli.main(["scan", str(cfg_path), "--mode", "mc",
+                     "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert named in err["error"]
 
 
 def test_fit_roundtrip(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mandeldip import detect, runner
@@ -49,13 +51,15 @@ def make_detectors(dark=0.0):
 
 
 def coincidence_weight(pattern, kind):
-    """Click product of `runner._coincidence_weight` for the output
-    pattern (c, d, herald1, herald2) under scheme `kind`."""
+    """Click product of `runner._click_weights` for the output pattern
+    (c, d, herald1, herald2) under scheme `kind`."""
     vacuum = SourceParams(zeta=0.0)
     cfg = runner.ExperimentConfig(source1=vacuum, source2=vacuum,
+                                  detectors=make_detectors(),
                                   scheme=CoincidenceScheme(kind),
                                   delays_um=(0.0,))
-    return runner._coincidence_weight(pattern, cfg, make_detectors())
+    return math.prod(weights[n] for weights, n
+                     in zip(runner._click_weights(cfg), pattern))
 
 
 def test_threefold_coincidence_product():

@@ -153,6 +153,25 @@ def test_digest_stability():
     assert cfg1.digest() == cfg2.digest()
     cfg3 = make_config(delays=(0.0, 20.0))
     assert cfg1.digest() != cfg3.digest()
+    as_array = ExperimentConfig(source1=P04, source2=P04, small_eta=True,
+                                delays_um=np.array([0.0, 10.0]))
+    assert as_array.digest() == cfg1.digest()
+    # every field enters the digest
+    detectors = dict(cfg1.detectors)
+    detectors[detect.GE_1310] = DetectorModel(detect.GE_1310, eta=0.2)
+    changes = dict(
+        source1=SourceParams(zeta=0.3), source2=SourceParams(zeta=0.3),
+        signal_filter=optics.FilterSpec(1310.0, 12.0),
+        herald_filter=optics.FilterSpec(1550.0, 12.0),
+        pump_filter=optics.FilterSpec(710.0, 5.0), detectors=detectors,
+        scheme=CoincidenceScheme("fivefold"), delays_um=(0.0, 20.0),
+        pulses_per_point=7, seed=1, pulse_rate_hz=8e7,
+        collection_efficiency=0.5, polarization_angle_rad=0.1,
+        spectral_mismatch=0.1, max_pairs=4, small_eta=False)
+    assert changes.keys() == {f.name for f in dataclasses.fields(cfg1)}
+    for name, value in changes.items():
+        changed = dataclasses.replace(cfg1, **{name: value})
+        assert changed.digest() != cfg1.digest(), name
 
 
 def test_mc_zero_sources_dark_free_is_silent():
@@ -254,13 +273,13 @@ def fock_pattern_distribution(cfg, overlap):
 def pointwise_rates(cfg):
     """Reference engine: the full pattern distribution at each point's
     own overlap, weighted by the detectors and summed."""
-    detectors = cfg.effective_detectors()
+    weights = runner._click_weights(cfg)
     rates = []
     for d in cfg.delays_um:
         m = math.sqrt(optics.overlap_sq(
             d, cfg.coherence_length_um(), cfg.polarization_angle_rad,
             cfg.spectral_mismatch))
-        p = sum(pq * runner._coincidence_weight(pattern, cfg, detectors)
+        p = sum(pq * math.prod(w[n] for w, n in zip(weights, pattern))
                 for pattern, pq in fock_pattern_distribution(cfg, m))
         rates.append(cfg.pulse_rate_hz * p)
     return rates
@@ -272,8 +291,10 @@ def test_polynomial_engine_matches_pointwise_sum(name):
     base = cli.parse_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
     zero = SourceParams(zeta=0.0)
     variants = [dict(max_pairs=k, small_eta=eta)
-                for k in (3, 4, 5, 6) for eta in (True, False)]
+                for k in (1, 2, 3, 4, 5, 6) for eta in (True, False)]
     variants += [dict(source1=zero), dict(source2=zero)]
+    variants += [dict(collection_efficiency=0.5, small_eta=eta)
+                 for eta in (True, False)]
     for variant in variants:
         # every fifth point keeps the reference quick and still spans
         # the dip from its centre to the baseline
