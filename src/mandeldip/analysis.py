@@ -72,13 +72,16 @@ def dip_model(tau, s, v, sigma):
 
 def dip_jacobian(tau, s, v, sigma):
     """Analytic Jacobian of dip_model w.r.t. (S, V, sigma)."""
-    tau = np.asarray(tau, dtype=float)
-    g = np.exp(-tau ** 2 / (2.0 * sigma ** 2))
-    return np.column_stack([
-        1.0 - v * g,
-        -s * g,
-        -s * v * g * tau ** 2 / sigma ** 3,
-    ])
+    tau2 = np.asarray(tau, dtype=float) ** 2
+    g = np.exp(-tau2 / (2.0 * sigma ** 2))
+    return _jacobian_rows(tau2, g, s, v, sigma).T
+
+
+def _jacobian_rows(tau2, g, s, v, sigma):
+    """dR/dS, dR/dV and dR/dsigma as the rows of a 3 x n array, from
+    tau^2 and the model's Gaussian g = exp(-tau^2 / (2 sigma^2)). The
+    first row times S is the model itself."""
+    return np.array([1.0 - v * g, -s * g, -s * v * g * tau2 / sigma ** 3])
 
 
 # Trial widths of the profile scan, log-spaced over [half the smallest
@@ -90,7 +93,7 @@ _WIDTH_RTOL = 1e-12
 _MAX_REFINEMENTS = 100
 
 
-def _width_profile(tau, y, w2):
+def _width_profile(tau2, y, w2):
     """Least-squares profile of the dip over its width.
 
     For a fixed width sigma the model a - b g(tau), with
@@ -99,37 +102,39 @@ def _width_profile(tau, y, w2):
     that weighted least-squares (a, b), the determinant of the 2x2
     normal equations over the weight sum, sum w^2 (g - mean g)^2 (0 when
     every g is equal, e.g. all underflowed to 0, and the system is
-    singular; b is then 0), the cost c(sigma) and dc/dsigma. The second
-    maps one width to (a, b, det, dc/dsigma) as floats, with 1-D arrays.
-    By the envelope theorem dc/dsigma is the partial derivative at fixed
-    (a, b), so it costs one pass over the curve.
+    singular; b is then 0), the cost c(sigma), dc/dsigma and g, one row
+    per width. The second maps one width to (a, b, det, dc/dsigma) as
+    floats and g, with 1-D arrays. Each evaluates one exp per delay and
+    width. By the envelope theorem dc/dsigma is the partial derivative
+    at fixed (a, b), so it costs one pass over the curve. Products use
+    `ndarray.dot`, which gives what `@` gives without the matmul
+    dispatch that dominates on curves of a few dozen points.
     """
-    tau2 = tau ** 2
-    wn = w2 / np.sum(w2)
-    y_mean = float(wn @ y)
+    wn = w2 / w2.sum()
+    y_mean = float(wn.dot(y))
     yc = y - y_mean
     w2_yc, w2_tau2 = w2 * yc, w2 * tau2
 
     def profile(sigma):
         g = np.exp(tau2 / (-2.0 * sigma[:, None] ** 2))
-        g_mean = g @ wn
+        g_mean = g.dot(wn)
         gc = g - g_mean[:, None]
-        det = gc ** 2 @ w2
-        b = np.divide(-(gc @ w2_yc), det, out=np.zeros_like(det),
+        det = (gc ** 2).dot(w2)
+        b = np.divide(-gc.dot(w2_yc), det, out=np.zeros_like(det),
                       where=det > 0.0)
         r = b[:, None] * gc + yc    # y - (a - b g)
-        dcost = 2.0 * b * ((r * g) @ w2_tau2) / sigma ** 3
-        return y_mean + b * g_mean, b, det, r ** 2 @ w2, dcost
+        dcost = 2.0 * b * (r * g).dot(w2_tau2) / sigma ** 3
+        return y_mean + b * g_mean, b, det, (r ** 2).dot(w2), dcost, g
 
     def at(sigma):
         g = np.exp(tau2 / (-2.0 * sigma ** 2))
-        g_mean = float(g @ wn)
+        g_mean = float(g.dot(wn))
         gc = g - g_mean
-        det = float(gc ** 2 @ w2)
-        b = -float(gc @ w2_yc) / det if det > 0.0 else 0.0
+        det = float((gc ** 2).dot(w2))
+        b = -float(gc.dot(w2_yc)) / det if det > 0.0 else 0.0
         r = b * gc + yc
-        dcost = 2.0 * b * float((r * g) @ w2_tau2) / sigma ** 3
-        return y_mean + b * g_mean, b, det, dcost
+        dcost = 2.0 * b * float((r * g).dot(w2_tau2)) / sigma ** 3
+        return y_mean + b * g_mean, b, det, dcost, g
 
     return profile, at
 
@@ -145,46 +150,49 @@ def fit_dip(curve: DipCurve) -> DipFit:
     fixed log-spaced grid of widths, and the grid minimum is refined by
     a bracketed root find (regula falsi with Anderson-Bjorck steps) on
     dc/dsigma that evaluates one width per step. `iterations` counts
-    those refinements. Raises RuntimeError when the minimum sits at
-    either end of the width range, the 2x2 system is singular, or S
-    comes out at most 1e-12 of the curve's largest rate (a vanishing or
-    negative baseline); also, as safeguards, when dc/dsigma does not
-    change sign across the grid minimum or the refinement does not
-    settle. A fitted V outside [0, 1] is clamped into it with a warning
-    and reported as `clamped`. A flat curve pins V at 0 with a warning
-    instead of fitting a degenerate width.
+    those refinements. The residual and the covariance (from the
+    analytic Jacobian) are taken at the reported parameters, with the
+    Gaussian of the accepted width, which the search already computed.
+    Raises RuntimeError when the minimum sits at either end of the
+    width range, the 2x2 system is singular, or S comes out at most
+    1e-12 of the curve's largest rate (a vanishing or negative
+    baseline); also, as safeguards, when dc/dsigma does not change sign
+    across the grid minimum or the refinement does not settle. A fitted
+    V outside [0, 1] is clamped into it with a warning and reported as
+    `clamped`. A flat curve pins V at 0 with a warning instead of
+    fitting a degenerate width.
     """
     tau = np.asarray(curve.delays_um, dtype=float)
     y = np.asarray(curve.rates_hz, dtype=float)
     err = np.asarray(curve.errors_hz, dtype=float)
     if len(tau) < 5:
         raise ValueError("fit requires at least 5 points")
-    if np.all(err > 0):
-        w = 1.0 / err
-    else:
-        w = np.ones_like(y)
+    w = 1.0 / err if err.min() > 0.0 else np.ones_like(y)
+    w2 = w * w
 
-    span = float(np.max(y) - np.min(y))
-    scale = max(abs(float(np.max(y))), 1e-30)
-    if span <= 1e-12 * scale:
+    y_max = float(y.max())
+    scale = max(abs(y_max), 1e-30)
+    if y_max - float(y.min()) <= 1e-12 * scale:
         warnings.warn("flat curve: visibility pinned at 0", stacklevel=2)
-        s0 = float(np.mean(y))
-        sigma0 = (float(np.max(tau)) - float(np.min(tau))) / _FWHM_PER_SIGMA
+        s0 = float(y.mean())
+        sigma0 = (float(tau.max()) - float(tau.min())) / _FWHM_PER_SIGMA
         return DipFit(s=max(s0, 1e-30), visibility=0.0,
                       sigma_tau_um=max(sigma0, 1e-30),
                       covariance=((0.0,) * 3,) * 3,
-                      residual_norm=float(np.linalg.norm((y - s0) * w)),
+                      residual_norm=math.sqrt(float(((y - s0) ** 2).dot(w2))),
                       iterations=0, converged=True)
 
-    steps = np.diff(np.sort(tau))
+    ordered = np.sort(tau)
+    steps = ordered[1:] - ordered[:-1]
     steps = steps[steps > 0.0]
     if steps.size == 0:
         raise ValueError("fit requires at least two distinct delays")
-    profile, at = _width_profile(tau, y, w ** 2)
-    lo_width, hi_width = 0.5 * float(np.min(steps)), float(np.sum(steps))
+    tau2 = tau ** 2
+    profile, at = _width_profile(tau2, y, w2)
+    lo_width, hi_width = 0.5 * float(steps.min()), float(steps.sum())
     widths = lo_width * (hi_width / lo_width) ** _UNIT_STEPS
-    a_grid, b_grid, det_grid, cost, dcost = profile(widths)
-    i = int(np.argmin(cost))
+    a_grid, b_grid, det_grid, cost, dcost, g_grid = profile(widths)
+    i = int(cost.argmin())
     lo, hi = (i, i + 1) if dcost[i] < 0.0 else (i - 1, i)
     if lo < 0 or hi >= _N_WIDTHS:
         raise RuntimeError(
@@ -200,6 +208,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
     # bracket f0 < 0 < f1 around the grid minimum
     j = lo if f0 == 0.0 else hi if f1 == 0.0 else i
     x, a, b, det = (float(v[j]) for v in (widths, a_grid, b_grid, det_grid))
+    g = g_grid[j]
     iterations, side = 0, 0
     while f0 < 0.0 < f1:
         if iterations == _MAX_REFINEMENTS:
@@ -207,7 +216,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
                                f"{_MAX_REFINEMENTS} width refinements")
         iterations += 1
         x_new = x1 - f1 * (x1 - x0) / (f1 - f0)
-        a, b, det, f = at(x_new)
+        a, b, det, f, g = at(x_new)
         done = f == 0.0 or abs(x_new - x) <= _WIDTH_RTOL * x_new
         x = x_new
         if done:
@@ -238,17 +247,16 @@ def fit_dip(curve: DipCurve) -> DipFit:
                       stacklevel=2)
         v = min(max(v, 0.0), 1.0)
     # residual and covariance scale belong to the reported parameters
-    current = float(np.sum(((dip_model(tau, s, v, sigma) - y) * w) ** 2))
-
-    jac = dip_jacobian(tau, s, v, sigma) * w[:, None]
-    h = jac.T @ jac
+    jac = _jacobian_rows(tau2, g, s, v, sigma)
+    r = s * jac[0] - y
+    current = float((r ** 2).dot(w2))
     dof = max(len(tau) - 3, 1)
     try:
-        cov = np.linalg.inv(h) * current / dof
+        cov = np.linalg.inv((jac * w2).dot(jac.T)) * (current / dof)
     except np.linalg.LinAlgError:
         cov = np.full((3, 3), np.nan)
     return DipFit(s=s, visibility=v, sigma_tau_um=sigma,
-                  covariance=tuple(tuple(float(x) for x in row) for row in cov),
+                  covariance=tuple(map(tuple, cov.tolist())),
                   residual_norm=math.sqrt(current),
                   iterations=iterations, converged=True, clamped=clamped)
 

@@ -46,8 +46,10 @@ def _field(mapping, key: str, where: str, kind: type = float,
     """`mapping[key]` as `kind`, or `default` when the key is absent.
 
     Only the matching JSON type is accepted: a number is never a bool,
-    string or null, and an integer has no fractional part. A wrong type
-    is a ConfigError, not a TypeError or a silent conversion.
+    string or null, and an integer has no fractional part. A wrong type,
+    or an integer beyond the float range where a number is expected, is
+    a ConfigError, not a TypeError, an OverflowError or a silent
+    conversion.
     """
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be an object")
@@ -62,7 +64,11 @@ def _field(mapping, key: str, where: str, kind: type = float,
     if not isinstance(value, accepted) or (isinstance(value, bool)
                                            and kind is not bool):
         raise ConfigError(f"{key!r} in {where} must be {_JSON_TYPES[kind]}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{key!r} in {where} is beyond the float "
+                          f"range") from None
 
 
 def _parse_source(entry, where: str) -> SourceParams:
@@ -169,19 +175,19 @@ def write_curve_csv(curve: DipCurve, path: Path) -> None:
 
 
 def read_curve_csv(path: Path) -> DipCurve:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ConfigError(
-                f"CSV header must be {','.join(CSV_HEADER)!r}")
-        try:
-            rows = [(float(d), float(r), float(e))
-                    for d, r, e in filter(None, reader)]
-        except ValueError as exc:
-            # the reader stops at the offending row
-            raise ConfigError(f"CSV line {reader.line_num}: expected three "
-                              f"numbers ({exc})") from None
+    # one read; the lines split where iterating the file would split them
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh.readlines())
+    header = next(reader, None)
+    if header != CSV_HEADER:
+        raise ConfigError(f"CSV header must be {','.join(CSV_HEADER)!r}")
+    try:
+        rows = [(float(d), float(r), float(e))
+                for d, r, e in filter(None, reader)]
+    except ValueError as exc:
+        # the reader stops at the offending row
+        raise ConfigError(f"CSV line {reader.line_num}: expected three "
+                          f"numbers ({exc})") from None
     if not rows:
         raise ConfigError("CSV contains no data rows")
     delays, rates, errs = zip(*rows)
@@ -196,8 +202,11 @@ def cmd_analytic(args) -> int:
         raise ConfigError("overlap-sq must lie in [0, 1]")
     v3 = q * runner.analytic_visibility_threefold()
     v5 = q * runner.analytic_visibility_fivefold_max(p)
+    v5_all = q * runner.analytic_visibility_fivefold_untruncated(p)
     print(json.dumps({"V_threefold": float(f"{v3:.6g}"),
-                      "V_fivefold_max": float(f"{v5:.6g}")}, indent=2))
+                      "V_fivefold_max": float(f"{v5:.6g}"),
+                      "V_fivefold_untruncated": float(f"{v5_all:.6g}")},
+                     indent=2))
     return 0
 
 

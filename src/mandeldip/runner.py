@@ -163,10 +163,12 @@ class DipCurve:
     def __post_init__(self):
         if not (len(self.delays_um) == len(self.rates_hz) == len(self.errors_hz)):
             raise ValueError("curve arrays must have equal lengths")
-        if not all(-math.inf < d < math.inf for d in self.delays_um):
+        if not all(map(math.isfinite, self.delays_um)):
             raise ValueError("delays must be finite")
-        if not (all(0.0 <= r < math.inf for r in self.rates_hz)
-                and all(0.0 <= e < math.inf for e in self.errors_hz)):
+        if not (all(map(math.isfinite, self.rates_hz))
+                and all(map(math.isfinite, self.errors_hz))
+                and min(self.rates_hz, default=0.0) >= 0.0
+                and min(self.errors_hz, default=0.0) >= 0.0):
             raise ValueError("rates and errors must be finite and "
                              "non-negative")
 
@@ -181,10 +183,31 @@ def analytic_visibility_threefold() -> float:
 
 def analytic_visibility_fivefold_max(p: float) -> float:
     """Post-selected visibility ceiling (1+8P)/(1+12P) from triple-pair
-    spurious coincidences; validated for P <= 0.2."""
+    spurious coincidences; validated for P <= 0.2. This is the three-pair
+    truncation of `analytic_visibility_fivefold_untruncated`."""
     if not 0.0 <= p <= 0.2:
         raise ValueError("pair probability outside validated range [0, 0.2]")
     return (1.0 + 8.0 * p) / (1.0 + 12.0 * p)
+
+
+def analytic_visibility_fivefold_untruncated(p: float) -> float:
+    """Post-selected fivefold visibility of the eta -> 0 model with every
+    pair number kept, (1 + 4m + 4m^2) / (1 + 8m + 10m^2) with
+    m = P / (1 - P) the mean pair number; valid for 0 <= P < 1. At
+    overlap x the curve is linear in x and the visibility is x times
+    this.
+
+    Each click weighs n eta, and a 50/50 splitter fed n1 and n2 photons
+    of overlap x gives <n_c n_d> = (N (N - 1) - 2 x n1 n2) / 4 with
+    N = n1 + n2; the heralds weigh n1 n2, and the geometric moments
+    E n = m, E n^2 = m (1 + 2m) and E n^3 = m (1 + 6m + 6m^2) give the
+    ratio. `analytic_visibility_fivefold_max` is this model truncated at
+    three pairs.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError("pair probability outside [0, 1)")
+    m = p / (1.0 - p)
+    return (1.0 + 4.0 * m + 4.0 * m * m) / (1.0 + 8.0 * m + 10.0 * m * m)
 
 
 def _pair_configs(cfg: ExperimentConfig) -> List[Tuple[int, int, float]]:

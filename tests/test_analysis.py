@@ -210,23 +210,46 @@ def fit_weights(curve):
     return 1.0 / err if np.all(err > 0) else np.ones(len(err))
 
 
+def binomial_curve(rng, n_points):
+    """A resolved Gaussian dip drawn as binomial counts, written as the MC
+    writes it: 2000-10000 counts per point outside the dip, >= 200 at
+    its bottom."""
+    n_pulses, pulse_rate = 10 ** 6, 7.6e7
+    sigma = rng.uniform(80.0, 250.0) / FWHM_PER_SIGMA
+    reach = rng.uniform(3.0, 5.0) * FWHM_PER_SIGMA * sigma
+    tau = np.linspace(-reach, reach, n_points)
+    p = dip_model(tau, rng.uniform(2e-3, 1e-2), rng.uniform(0.2, 0.9), sigma)
+    p_hat = rng.binomial(n_pulses, p) / n_pulses
+    err = np.sqrt(p_hat * (1 - p_hat) / n_pulses)
+    return DipCurve(delays_um=tuple(tau), rates_hz=tuple(p_hat * pulse_rate),
+                    errors_hz=tuple(err * pulse_rate), mode="data")
+
+
 def test_fit_finds_least_squares_minimum_over_width_range():
-    # the profile is multimodal here: a narrow deep dip beats a wide
-    # shallow one that a local search can stop at
-    raw, _ = lab_mc_curves(14)
-    tau, y = np.asarray(raw.delays_um), np.asarray(raw.rates_hz)
-    w = fit_weights(raw)
-    step = np.min(np.diff(tau))
-    best = np.inf
-    for sigma in np.geomspace(step / 2, tau[-1] - tau[0], 3000):
-        basis = np.column_stack([np.ones_like(tau),
-                                 -np.exp(-tau ** 2 / (2 * sigma ** 2))])
-        coef = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)[0]
-        best = min(best, float(np.linalg.norm((basis @ coef - y) * w)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)   # V may be clamped
-        fit = fit_dip(raw)
-    assert fit.residual_norm <= (1 + 1e-9) * best
+    # lab_fivefold MC seed 14: the profile is multimodal, and a narrow
+    # deep dip beats a wide shallow one that a local search can stop at.
+    # Also resolved binomial curves of every benchmark size, a noiseless
+    # curve, and the analytic lab_fivefold curve (no error bars, so
+    # uniform weights).
+    rng = np.random.default_rng(5)
+    cfg = cli.parse_config(json.loads(LAB_CONFIG.read_text()))
+    curves = [lab_mc_curves(14)[0], runner.dip_curve_analytic(cfg),
+              synthetic_curve(160.0, 0.28, 142.0 / FWHM_PER_SIGMA)]
+    curves += [binomial_curve(rng, n) for n in (31, 61, 101, 201)]
+    for curve in curves:
+        tau, y = np.asarray(curve.delays_um), np.asarray(curve.rates_hz)
+        w = fit_weights(curve)
+        step = np.min(np.diff(tau))
+        best = np.inf
+        for sigma in np.geomspace(step / 2, tau[-1] - tau[0], 3000):
+            basis = np.column_stack([np.ones_like(tau),
+                                     -np.exp(-tau ** 2 / (2 * sigma ** 2))])
+            coef = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)[0]
+            best = min(best, float(np.linalg.norm((basis @ coef - y) * w)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # V may be clamped
+            fit = fit_dip(curve)
+        assert fit.residual_norm <= (1 + 1e-9) * best
 
 
 def test_sparse_fit_refines_width_in_few_steps():
@@ -276,18 +299,10 @@ def test_fit_is_stationary_on_resolved_binomial_curves():
     # first-order optimality: each component of the weighted gradient
     # (w J)^T (w r) is <= 1e-6 of |w J_k| |w r|, the cosine between the
     # residual and that Jacobian column
-    # 2000-10000 counts per point outside the dip, >= 200 at its bottom
     rng = np.random.default_rng(2024)
-    n_pulses, pulse_rate = 10 ** 6, 7.6e7
     for n_points in (31, 61, 101, 201) * 3:
-        sigma = rng.uniform(80.0, 250.0) / FWHM_PER_SIGMA
-        reach = rng.uniform(3.0, 5.0) * FWHM_PER_SIGMA * sigma
-        tau = np.linspace(-reach, reach, n_points)
-        p = dip_model(tau, rng.uniform(2e-3, 1e-2), rng.uniform(0.2, 0.9), sigma)
-        p_hat = rng.binomial(n_pulses, p) / n_pulses
-        err = np.sqrt(p_hat * (1 - p_hat) / n_pulses)
-        curve = DipCurve(delays_um=tuple(tau), rates_hz=tuple(p_hat * pulse_rate),
-                         errors_hz=tuple(err * pulse_rate), mode="data")
+        curve = binomial_curve(rng, n_points)
+        tau = np.asarray(curve.delays_um)
         fit = fit_dip(curve)
         assert not fit.clamped
         params = (fit.s, fit.visibility, fit.sigma_tau_um)
@@ -312,17 +327,24 @@ def test_scalar_width_evaluation_matches_vector_profile():
     for tau, y, err in ((tau, noisy, rng.uniform(1.0, 3.0, tau.size)),
                         (far, dip_model(far, 50.0, 0.8, 200.0),
                          np.ones(far.size))):
-        profile, at = analysis._width_profile(tau, y, err ** -2.0)
+        profile, at = analysis._width_profile(tau ** 2, y, err ** -2.0)
         steps = np.diff(tau)
         lo, hi = 0.5 * steps.min(), steps.sum()
         widths = lo * (hi / lo) ** np.linspace(0.0, 1.0, 25)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            grid = np.array(profile(widths)[:3]).T
-            one = np.array([np.concatenate(profile(np.array([x])))[[0, 1, 2, 4]]
+            grid = profile(widths)
+            one = np.array([np.concatenate(profile(np.array([x]))[:5])[[0, 1, 2, 4]]
                             for x in widths])
-            scalar = np.array([at(float(x)) for x in widths])
+            at_widths = [at(float(x)) for x in widths]
+        scalar = np.array([row[:4] for row in at_widths])
         np.testing.assert_allclose(scalar, one, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(scalar[:, :3], grid, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(scalar[:, :3], np.array(grid[:3]).T,
+                                   rtol=1e-13, atol=0.0)
+        # the Gaussian both return is the model's at that width
+        want = np.exp(-tau ** 2 / (2.0 * widths[:, None] ** 2))
+        np.testing.assert_allclose(grid[5], want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose([row[4] for row in at_widths], want,
+                                   rtol=1e-13, atol=0.0)
     assert scalar[0, 1] == 0.0 and scalar[0, 2] == 0.0
     assert scalar[-1, 2] > 0.0

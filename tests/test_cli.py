@@ -47,12 +47,14 @@ def test_analytic_command(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["V_threefold"] == pytest.approx(0.333333, abs=1e-6)
     assert out["V_fivefold_max"] == pytest.approx(0.891892, abs=1e-6)
+    assert out["V_fivefold_untruncated"] == pytest.approx(0.868895, abs=1e-6)
 
 
 def test_analytic_command_limits(capsys):
     assert cli.main(["analytic", "-P", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out == {"V_threefold": 0.333333, "V_fivefold_max": 1.0}
+    assert out == {"V_threefold": 0.333333, "V_fivefold_max": 1.0,
+                   "V_fivefold_untruncated": 1.0}
     assert cli.main(["analytic", "-P", "0.1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["V_fivefold_max"] == pytest.approx(0.818182, abs=1e-6)
@@ -211,6 +213,10 @@ FOUR_DETECTORS = [{"eta": 0.3}] * 4
     pytest.param({"mc": {"seed": 1.5}}, "'seed'", id="seed-fraction"),
     pytest.param({"small_eta": "false"}, "'small_eta'", id="small_eta-string"),
     pytest.param({"max_pairs": 2.7}, "'max_pairs'", id="max_pairs-fraction"),
+    pytest.param({"pulse_rate_hz": 10 ** 400}, "'pulse_rate_hz'",
+                 id="pulse_rate-beyond-float"),
+    pytest.param({"detectors": [{"eta": 10 ** 400}] + FOUR_DETECTORS[1:]},
+                 "'eta'", id="eta-beyond-float"),
 ])
 def test_scan_rejects_config_values_of_the_wrong_type(tmp_path, capsys,
                                                        override, named):

@@ -77,6 +77,33 @@ def test_fivefold_enumeration_matches_formula():
         assert v == pytest.approx(expected, rel=0.01)
 
 
+def test_fivefold_untruncated_formula():
+    assert runner.analytic_visibility_fivefold_untruncated(0.0) == 1.0
+    assert runner.analytic_visibility_fivefold_untruncated(0.04) == (
+        pytest.approx(0.8688946, rel=1e-7))
+    for p in (-0.1, 1.0):
+        with pytest.raises(ValueError):
+            runner.analytic_visibility_fivefold_untruncated(p)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.04, 0.1])
+def test_small_eta_table_matches_untruncated_closed_forms(p):
+    # at 14 pairs the truncated eta -> 0 table reaches the untruncated
+    # closed forms; both dips are linear in the overlap x, so the
+    # relative gap is the same at every x of the grid (the last delay
+    # is far out, x = 0)
+    delays = tuple(np.linspace(0.0, 200.0, 11)) + (FAR,)
+    for scheme, v_full in (
+            ("threefold", runner.analytic_visibility_threefold()),
+            ("fivefold", runner.analytic_visibility_fivefold_untruncated(p))):
+        cfg = make_config(scheme, P=p, delays=delays, max_pairs=14)
+        x = cfg.overlaps_sq()
+        probs = runner._coincidence_probs(cfg)
+        assert x[-1] == 0.0 and x[0] == 1.0
+        np.testing.assert_allclose(1.0 - probs[:-1] / probs[-1],
+                                   v_full * x[:-1], rtol=1e-7, atol=0.0)
+
+
 def test_threefold_curve_fit():
     cfg = make_config()
     curve = runner.dip_curve_analytic(cfg)
@@ -136,6 +163,42 @@ def test_config_validation():
         make_config(delays=(10.0, 5.0))
     with pytest.raises(ValueError):
         make_config(collection_efficiency=0.0)
+
+
+def good_curve_columns():
+    return {"delays_um": (-1.0, 0.0, 1.0), "rates_hz": (2.0, 1.0, 2.0),
+            "errors_hz": (0.5, 0.5, 0.5)}
+
+
+@pytest.mark.parametrize("column, message", [
+    ("delays_um", "delays must be finite"),
+    ("rates_hz", "rates and errors must be finite and non-negative"),
+    ("errors_hz", "rates and errors must be finite and non-negative"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dip_curve_rejects_non_finite_values(column, message, bad):
+    columns = good_curve_columns()
+    columns[column] = (columns[column][0], bad, columns[column][2])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        runner.DipCurve(**columns)
+
+
+@pytest.mark.parametrize("column", ["rates_hz", "errors_hz"])
+def test_dip_curve_rejects_negative_values(column):
+    columns = good_curve_columns()
+    columns[column] = (columns[column][0], -1e-300, columns[column][2])
+    with pytest.raises(ValueError, match="^rates and errors must be finite "
+                                         "and non-negative$"):
+        runner.DipCurve(**columns)
+
+
+@pytest.mark.parametrize("column", ["delays_um", "rates_hz", "errors_hz"])
+def test_dip_curve_rejects_unequal_lengths(column):
+    columns = good_curve_columns()
+    columns[column] = columns[column][:2]
+    with pytest.raises(ValueError,
+                       match="^curve arrays must have equal lengths$"):
+        runner.DipCurve(**columns)
 
 
 def test_analytic_curve_metadata():
