@@ -16,6 +16,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -47,9 +48,9 @@ def _field(mapping, key: str, where: str, kind: type = float,
 
     Only the matching JSON type is accepted: a number is never a bool,
     string or null, and an integer has no fractional part. A wrong type,
-    or an integer beyond the float range where a number is expected, is
-    a ConfigError, not a TypeError, an OverflowError or a silent
-    conversion.
+    or a number that is not finite as a float (`1e400`, `Infinity`,
+    `NaN`, an integer beyond the float range), is a ConfigError, not a
+    TypeError, an OverflowError or a silent conversion.
     """
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be an object")
@@ -65,10 +66,12 @@ def _field(mapping, key: str, where: str, kind: type = float,
                                            and kind is not bool):
         raise ConfigError(f"{key!r} in {where} must be {_JSON_TYPES[kind]}")
     try:
-        return kind(value)
+        value = kind(value)
     except OverflowError:
-        raise ConfigError(f"{key!r} in {where} is beyond the float "
-                          f"range") from None
+        value = math.inf
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key!r} in {where} must be a finite number")
+    return value
 
 
 def _parse_source(entry, where: str) -> SourceParams:

@@ -36,8 +36,10 @@ Two execution modes turn p(delay) into `DipCurve`s:
 * mc -- a seeded Binomial(N, p(delay)) draw of the coincidence count in
   N pulses. This is exact, not an approximation: pulses are i.i.d., so
   sampling pair counts, output patterns and clicks pulse by pulse gives
-  the same count distribution. Every delay point uses its own seeded
-  stream, so results are bit-identical regardless of evaluation order.
+  the same count distribution. Delay point i draws from numpy's PCG64
+  seeded by the `SeedSequence` child (seed, i), whose states
+  `_stream_seeds` derives for the whole grid at once, so results are
+  bit-identical regardless of evaluation order.
   A per-pulse path is only needed again for an effect that couples
   pulses, such as detector dead time, afterpulsing or pump drift across
   a scan.
@@ -48,9 +50,11 @@ n1 + n2 <= max_pairs (probabilities renormalized), in both modes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
@@ -64,6 +68,10 @@ from .optics import FilterSpec
 from .pdc import SourceParams
 
 DEFAULT_PULSE_RATE_HZ = 7.6e7  # mode-locked Ti-Sapphire repetition rate
+# Largest truncation accepted. At the validated P <= 0.2 the pair mass
+# beyond 20 pairs is 4e-14, while the engine's cost grows about as
+# max_pairs^4 (0.045 s per lab_fivefold scan at 20, days at 10**3).
+MAX_PAIRS_LIMIT = 20
 
 
 def default_detectors() -> Dict[str, DetectorModel]:
@@ -109,8 +117,8 @@ class ExperimentConfig:
             raise ValueError("pulses_per_point must lie in [1, 2**63 - 1]")
         if not 0.0 < self.collection_efficiency <= 1.0:
             raise ValueError("collection_efficiency must lie in (0, 1]")
-        if self.max_pairs < 1:
-            raise ValueError("max_pairs must be >= 1")
+        if not 1 <= self.max_pairs <= MAX_PAIRS_LIMIT:
+            raise ValueError(f"max_pairs must lie in [1, {MAX_PAIRS_LIMIT}]")
         if self.pulse_rate_hz <= 0:
             raise ValueError("pulse_rate_hz must be positive")
 
@@ -281,10 +289,84 @@ def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
                     config_digest=cfg.digest())
 
 
-def _mc_point(cfg: ExperimentConfig, point_index: int,
-              p: float) -> Tuple[float, float]:
-    """Simulate one delay point of per-pulse probability p; returns
-    (rate_hz, error_hz).
+_M32 = 0xFFFFFFFF
+
+
+def _hash_constants(c: int, mult: int):
+    """(xor, multiplier) pairs of a `SeedSequence` hash: c, c*mult, ..."""
+    while True:
+        yield c, c * mult & _M32
+        c = c * mult & _M32
+
+
+def _stream_seeds(seed: int, n_points: int) -> np.ndarray:
+    """Rows `SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4,
+    np.uint64)` for i in range(n_points), in one pass.
+
+    numpy hashes the seed's 32-bit words, padded to its 4-word pool, into
+    the pool, then the index word, then hashes the pool out to 8 words.
+    The seed part runs once on masked Python ints; the rest depends on i
+    and runs over the grid as uint32 arrays, which wrap silently.
+    """
+    seed = operator.index(seed)  # numpy ints as Python ints: no overflow
+    if seed < 0:  # before the split: a negative int never shifts to 0
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    words += [0] * (4 - len(words))
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875)
+
+    def hashmix(v):
+        h, m = next(consts)
+        v = (v ^ h) * m & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x & _M32) - (0x4973F715 * y & _M32) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                pool[d] = mix(pool[d], hashmix(pool[s]))
+    for w in words[4:]:
+        pool = [mix(x, hashmix(w)) for x in pool]
+    # the index word, hashed and mixed into each pool word as (4, n) arrays
+    xor, mul = np.array([next(consts) for _ in pool], np.uint32).T[..., None]
+    v = (np.arange(n_points, dtype=np.uint32) ^ xor) * mul
+    v = mix(np.array(pool, np.uint32)[:, None], v ^ v >> 16)
+    # the output hash cycles twice through the pool; words pair little-endian
+    out = _hash_constants(0x8B51F9DD, 0x58F38DED)
+    xor, mul = np.array([next(out) for _ in range(8)], np.uint32).T[..., None]
+    v = (np.concatenate((v, v)) ^ xor) * mul
+    v ^= v >> 16
+    return v.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _state_row_type() -> type:
+    """An `ISeedSequence` that hands `PCG64` one row of `_stream_seeds`,
+    the state it asks for as `generate_state(4, np.uint64)`. Built on
+    first use, so only a scan that draws loads `numpy.random`."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateRow(ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return StateRow
+
+
+def _mc_draw(cfg: ExperimentConfig, row: np.ndarray,
+             p: float) -> Tuple[float, float]:
+    """Simulate one delay point of per-pulse probability p from its
+    stream's seed row; returns (rate_hz, error_hz).
 
     The coincidence count is one draw of Binomial(N, p). Pulses are
     i.i.d., so this is the exact distribution of the per-pulse chain
@@ -295,8 +377,7 @@ def _mc_point(cfg: ExperimentConfig, point_index: int,
     """
     if cfg.small_eta:
         raise ValueError("Monte Carlo mode requires finite efficiencies")
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(point_index,))))
+    rng = np.random.Generator(np.random.PCG64(_state_row_type()(row)))
     n_pulses = cfg.pulses_per_point
     p_hat = int(rng.binomial(n_pulses, p)) / n_pulses
     rate = p_hat * cfg.pulse_rate_hz
@@ -304,10 +385,17 @@ def _mc_point(cfg: ExperimentConfig, point_index: int,
     return rate, err
 
 
+def _mc_point(cfg: ExperimentConfig, point_index: int,
+              p: float) -> Tuple[float, float]:
+    """Point `point_index` of `dip_curve_mc` at probability p, alone."""
+    return _mc_draw(cfg, _stream_seeds(cfg.seed, point_index + 1)[-1], p)
+
+
 def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
     """Monte Carlo delay scan; deterministic per (seed, point index)."""
-    points = [_mc_point(cfg, i, p)
-              for i, p in enumerate(_coincidence_probs(cfg).tolist())]
+    probs = _coincidence_probs(cfg).tolist()
+    points = [_mc_draw(cfg, row, p)
+              for row, p in zip(_stream_seeds(cfg.seed, len(probs)), probs)]
     return DipCurve(delays_um=tuple(cfg.delays_um),
                     rates_hz=tuple(r for r, _ in points),
                     errors_hz=tuple(e for _, e in points),

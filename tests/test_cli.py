@@ -217,15 +217,56 @@ FOUR_DETECTORS = [{"eta": 0.3}] * 4
                  id="pulse_rate-beyond-float"),
     pytest.param({"detectors": [{"eta": 10 ** 400}] + FOUR_DETECTORS[1:]},
                  "'eta'", id="eta-beyond-float"),
+    pytest.param({"pulse_rate_hz": math.inf}, "'pulse_rate_hz'",
+                 id="pulse_rate-1e400"),
+    pytest.param({"pulse_rate_hz": math.nan}, "'pulse_rate_hz'",
+                 id="pulse_rate-NaN"),
+    pytest.param({"spectral_mismatch": math.nan}, "'spectral_mismatch'",
+                 id="spectral_mismatch-NaN"),
+    # an infinite grid end once kept the grid loop appending without end
+    pytest.param({"delays": {"min_um": -300, "max_um": math.inf,
+                             "step_um": 30}}, "'max_um'", id="max_um-1e400"),
 ])
 def test_scan_rejects_config_values_of_the_wrong_type(tmp_path, capsys,
                                                        override, named):
     cfg_path = write_config(tmp_path,
                             base_config(**{"small_eta": False, **override}))
+    # json writes inf as Infinity; the file holds the overflowing literal
+    cfg_path.write_text(cfg_path.read_text().replace("Infinity", "1e400"))
     assert cli.main(["scan", str(cfg_path), "--mode", "mc",
                      "--out", str(tmp_path / "x")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert named in err["error"]
+
+
+@pytest.mark.parametrize("max_pairs", [10 ** 400, runner.MAX_PAIRS_LIMIT + 1],
+                         ids=["10**400", "limit+1"])
+def test_scan_rejects_max_pairs_beyond_the_limit(tmp_path, capsys,
+                                                 monkeypatch, max_pairs):
+    def engine(cfg):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(runner, "_coincidence_probs", engine)
+    cfg_path = write_config(tmp_path, base_config(max_pairs=max_pairs))
+    assert cli.main(["scan", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "max_pairs" in err["error"]
+    limit = cli.parse_config(base_config(max_pairs=runner.MAX_PAIRS_LIMIT))
+    assert limit.max_pairs == runner.MAX_PAIRS_LIMIT
+
+
+def test_scan_rejects_a_negative_mc_seed(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config(small_eta=False))
+    assert cli.main(["scan", str(cfg_path), "--mode", "mc", "--seed", "-1",
+                     "--out", str(tmp_path / "mc")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError"
+    assert not (tmp_path / "mc").exists()
+    # an analytic scan draws nothing, so its seed is only recorded
+    assert cli.main(["scan", str(cfg_path), "--seed", "-1",
+                     "--out", str(tmp_path / "analytic")]) == 0
+    manifest = json.loads((tmp_path / "analytic" / "manifest.json").read_text())
+    assert manifest["seed"] == -1
 
 
 def test_fit_roundtrip(tmp_path, capsys):

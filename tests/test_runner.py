@@ -264,6 +264,33 @@ def test_mc_deterministic_and_order_independent():
         assert shuffled[i][0] == curve.rates_hz[i]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5, 20, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1,
+                                  2 ** 64 + 3, 2 ** 100 + 11])
+def test_stream_seeds_match_numpy_seed_sequence(seed):
+    rows = runner._stream_seeds(seed, 301)
+    want = [np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+            .generate_state(4, np.uint64) for i in range(301)]
+    assert rows.dtype == np.uint64
+    np.testing.assert_array_equal(rows, want)
+
+
+@pytest.mark.parametrize("name", ["ideal_threefold.json", "ideal_fivefold.json",
+                                  "lab_fivefold.json"])
+def test_mc_draws_match_numpy_seed_sequence_streams(name):
+    # numpy's own per-point child stream (seed, i) is the reference
+    data = json.loads((CONFIG_DIR / name).read_text())
+    cfg = dataclasses.replace(cli.parse_config(data), small_eta=False)
+    n = cfg.pulses_per_point
+    for seed in (cfg.seed, 2 ** 64 + 3):
+        cfg = dataclasses.replace(cfg, seed=seed)
+        curve = runner.dip_curve_mc(cfg)
+        for i, p in enumerate(runner._coincidence_probs(cfg).tolist()):
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+            k = int(rng.binomial(n, p))
+            assert curve.rates_hz[i] == k / n * cfg.pulse_rate_hz, (seed, i)
+
+
 def test_mc_agrees_with_analytic():
     cfg = make_config(small_eta=False, delays=np.linspace(-200, 200, 5),
                       pulses_per_point=500_000, seed=42)
