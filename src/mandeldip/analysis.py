@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -275,6 +275,4 @@ def subtract_floor(curve: DipCurve, floor_hz: float) -> DipCurve:
     if floor_hz < 0.0:
         raise ValueError("floor must be non-negative")
     rates = tuple(max(0.0, r - floor_hz) for r in curve.rates_hz)
-    return DipCurve(delays_um=curve.delays_um, rates_hz=rates,
-                    errors_hz=curve.errors_hz, scheme=curve.scheme,
-                    mode=curve.mode, config_digest=curve.config_digest)
+    return replace(curve, rates_hz=rates)

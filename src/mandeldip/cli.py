@@ -37,14 +37,33 @@ class ConfigError(ValueError):
     pass
 
 
-_REQUIRED = object()
 _JSON_TYPES = {float: "a number", int: "an integer", bool: "true or false",
                str: "a string", list: "a list", dict: "an object"}
 
+# The keys of each config section and their JSON types: those it must
+# set, then those it may leave out. An optional key left out takes the
+# default of the `ExperimentConfig` or `DetectorModel` field of its name.
+_SCHEMA = {
+    "config": ({"sources": list, "filters": dict, "detectors": list,
+                "scheme": str, "delays": dict},
+               {"mc": dict, "pulse_rate_hz": float,
+                "collection_efficiency": float,
+                "polarization_angle_rad": float, "spectral_mismatch": float,
+                "max_pairs": int, "small_eta": bool}),
+    "sources": ({}, {"zeta": float, "P": float}),  # exactly one of the two
+    "filters": (dict.fromkeys(("signal_nm", "signal_fwhm_nm", "herald_nm",
+                               "herald_fwhm_nm", "pump_fwhm_nm"), float), {}),
+    "detectors": ({"eta": float}, {"dark_prob": float}),
+    "delays": (dict.fromkeys(("min_um", "max_um", "step_um"), float), {}),
+    "mc": ({}, {"pulses_per_point": int, "seed": int}),
+}
 
-def _field(mapping, key: str, where: str, kind: type = float,
-           default=_REQUIRED):
-    """`mapping[key]` as `kind`, or `default` when the key is absent.
+# Largest delay grid a config may expand to, checked before it is built
+MAX_GRID_POINTS = 100_001
+
+
+def _field(mapping: dict, key: str, where: str, kind: type) -> object:
+    """`mapping[key]` as `kind`.
 
     Only the matching JSON type is accepted: a number is never a bool,
     string or null, and an integer has no fractional part. A wrong type,
@@ -52,12 +71,8 @@ def _field(mapping, key: str, where: str, kind: type = float,
     `NaN`, an integer beyond the float range), is a ConfigError, not a
     TypeError, an OverflowError or a silent conversion.
     """
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be an object")
     if key not in mapping:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key {key!r} in {where}")
-        return default
+        raise ConfigError(f"missing key {key!r} in {where}")
     value = mapping[key]
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -74,85 +89,79 @@ def _field(mapping, key: str, where: str, kind: type = float,
     return value
 
 
+def _section(mapping, where: str) -> dict:
+    """The keys that section `where` must set, and those of its optional
+    keys that it sets, each read by `_field`; any other key is a
+    ConfigError. `where` is the section's name, indexed for a list entry."""
+    keys, optional = _SCHEMA[where.partition("[")[0]]
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key in mapping:
+        if key not in keys and key not in optional:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return {key: _field(mapping, key, where, kind)
+            for key, kind in {**keys, **optional}.items()
+            if key in keys or key in mapping}
+
+
 def _parse_source(entry, where: str) -> SourceParams:
-    zeta = _field(entry, "zeta", where, default=None)
-    if zeta is not None:
-        return SourceParams(zeta=zeta)
-    p = _field(entry, "P", where, default=None)
-    if p is not None:
-        return SourceParams.from_pair_probability(p)
-    raise ConfigError(f"{where} needs either 'zeta' or 'P'")
+    source = _section(entry, where)
+    if len(source) != 1:
+        raise ConfigError(f"{where} needs exactly one of 'zeta' and 'P'")
+    if "zeta" in source:
+        return SourceParams(zeta=source["zeta"])
+    return SourceParams.from_pair_probability(source["P"])
 
 
 def parse_config(data: dict, seed_override: Optional[int] = None
                  ) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON config schema."""
-    sources = _field(data, "sources", "config", list)
+    options = _section(data, "config")
+    sources = options.pop("sources")
     if len(sources) != 2:
         raise ConfigError("'sources' must be a list of two entries")
     s1 = _parse_source(sources[0], "sources[0]")
     s2 = _parse_source(sources[1], "sources[1]")
 
-    filters = _field(data, "filters", "config", dict)
-    signal = FilterSpec(_field(filters, "signal_nm", "filters"),
-                        _field(filters, "signal_fwhm_nm", "filters"))
-    herald = FilterSpec(_field(filters, "herald_nm", "filters"),
-                        _field(filters, "herald_fwhm_nm", "filters"))
+    filters = _section(options.pop("filters"), "filters")
+    signal = FilterSpec(filters["signal_nm"], filters["signal_fwhm_nm"])
+    herald = FilterSpec(filters["herald_nm"], filters["herald_fwhm_nm"])
     # energy conservation fixes the pump centre: 1/pump = 1/signal + 1/herald
     pump = FilterSpec(1.0 / (1.0 / signal.center_nm + 1.0 / herald.center_nm),
-                      _field(filters, "pump_fwhm_nm", "filters"))
+                      filters["pump_fwhm_nm"])
 
-    det_entries = _field(data, "detectors", "config", list)
+    det_entries = options.pop("detectors")
     if len(det_entries) != 4:
         raise ConfigError("'detectors' must list 4 entries "
                           "(Ge-1310, InGaAs-1310, InGaAs-1550-1, InGaAs-1550-2)")
-    detectors = {}
-    for role, entry in zip(ALL_ROLES, det_entries):
-        where = f"detectors[{role}]"
-        detectors[role] = DetectorModel(
-            role, eta=_field(entry, "eta", where),
-            dark_prob=_field(entry, "dark_prob", where, default=0.0))
+    detectors = {
+        role: DetectorModel(role, **_section(entry, f"detectors[{role}]"))
+        for role, entry in zip(ALL_ROLES, det_entries)}
 
-    scheme = CoincidenceScheme(_field(data, "scheme", "config", str))
+    scheme = CoincidenceScheme(options.pop("scheme"))
 
-    delays = _field(data, "delays", "config", dict)
-    lo = _field(delays, "min_um", "delays")
-    hi = _field(delays, "max_um", "delays")
-    step = _field(delays, "step_um", "delays")
+    delays = _section(options.pop("delays"), "delays")
+    lo, hi, step = delays["min_um"], delays["max_um"], delays["step_um"]
     if step <= 0 or hi < lo:
         raise ConfigError("delays require step_um > 0 and max_um >= min_um")
-    grid, x = [], lo
-    while x <= hi + 1e-9 * max(abs(hi), 1.0):
-        grid.append(round(x, 9))
-        x += step
-    if not grid:
-        raise ConfigError("empty delay grid")
+    # a point within 1e-9 relative of max_um still counts; an overflowing
+    # span gives an infinite count, which fails the same check
+    steps = (hi - lo + 1e-9 * max(abs(hi), 1.0)) / step
+    if not steps < MAX_GRID_POINTS:
+        raise ConfigError(f"delays give more than {MAX_GRID_POINTS} points")
+    # `+ 0.0` writes a zero delay as 0, never -0
+    grid = tuple(round(lo + i * step, 9) + 0.0
+                 for i in range(math.floor(steps) + 1))
 
-    mc = _field(data, "mc", "config", dict, default={})
-    seed = _field(mc, "seed", "mc", int, default=0)
+    options.update(_section(options.pop("mc", {}), "mc"))
     if seed_override is not None:
-        seed = seed_override
+        options["seed"] = seed_override
 
     try:
         return ExperimentConfig(
             source1=s1, source2=s2,
             signal_filter=signal, herald_filter=herald, pump_filter=pump,
-            detectors=detectors, scheme=scheme,
-            delays_um=tuple(grid),
-            pulses_per_point=_field(mc, "pulses_per_point", "mc", int,
-                                    default=100_000),
-            seed=seed,
-            pulse_rate_hz=_field(data, "pulse_rate_hz", "config",
-                                 default=runner.DEFAULT_PULSE_RATE_HZ),
-            collection_efficiency=_field(data, "collection_efficiency",
-                                         "config", default=1.0),
-            polarization_angle_rad=_field(data, "polarization_angle_rad",
-                                          "config", default=0.0),
-            spectral_mismatch=_field(data, "spectral_mismatch", "config",
-                                     default=0.0),
-            max_pairs=_field(data, "max_pairs", "config", int, default=3),
-            small_eta=_field(data, "small_eta", "config", bool, default=False),
-        )
+            detectors=detectors, scheme=scheme, delays_um=grid, **options)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -247,7 +256,7 @@ def cmd_scan(args) -> int:
 
     manifest = {
         "config_digest": hashlib.sha256(config_text.encode()).hexdigest(),
-        "experiment_digest": curve.config_digest,
+        "experiment_digest": cfg.digest(),
         "tool_version": __version__,
         "seed": cfg.seed,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -266,7 +275,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call, not at
+    import, and reused by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="mandel-dip",
         description="Two-source Mandel-dip simulator and dip fitter")
@@ -288,13 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a curve CSV")
     p_fit.add_argument("csv", help="path to curve CSV")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first `main` call, not at import, and reused by every
-    # later call in the process
-    return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

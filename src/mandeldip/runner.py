@@ -67,7 +67,6 @@ from .detect import (ALL_ROLES, CoincidenceScheme, DetectorModel, GE_1310,
 from .optics import FilterSpec
 from .pdc import SourceParams
 
-DEFAULT_PULSE_RATE_HZ = 7.6e7  # mode-locked Ti-Sapphire repetition rate
 # Largest truncation accepted. At the validated P <= 0.2 the pair mass
 # beyond 20 pairs is 4e-14, while the engine's cost grows about as
 # max_pairs^4 (0.045 s per lab_fivefold scan at 20, days at 10**3).
@@ -86,7 +85,8 @@ def default_detectors() -> Dict[str, DetectorModel]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one delay-scan experiment."""
+    """Complete description of one delay-scan experiment. The field
+    defaults are also those of the JSON config keys (`cli.parse_config`)."""
 
     source1: SourceParams
     source2: SourceParams
@@ -98,7 +98,7 @@ class ExperimentConfig:
     delays_um: Tuple[float, ...] = ()
     pulses_per_point: int = 100_000
     seed: int = 0
-    pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ
+    pulse_rate_hz: float = 7.6e7  # mode-locked Ti-Sapphire repetition rate
     collection_efficiency: float = 1.0
     polarization_angle_rad: float = 0.0
     spectral_mismatch: float = 0.0
@@ -159,14 +159,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class DipCurve:
-    """Sampled (delay, rate, error) points with provenance metadata."""
+    """Sampled (delay, rate, error) points and the mode that made them."""
 
     delays_um: Tuple[float, ...]
     rates_hz: Tuple[float, ...]
     errors_hz: Tuple[float, ...]
-    scheme: str = "threefold"
     mode: str = "analytic"
-    config_digest: str = ""
 
     def __post_init__(self):
         if not (len(self.delays_um) == len(self.rates_hz) == len(self.errors_hz)):
@@ -284,9 +282,7 @@ def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
     rates = cfg.pulse_rate_hz * _coincidence_probs(cfg)
     return DipCurve(delays_um=tuple(cfg.delays_um),
                     rates_hz=tuple(rates.tolist()),
-                    errors_hz=(0.0,) * len(cfg.delays_um),
-                    scheme=cfg.scheme.kind, mode="analytic",
-                    config_digest=cfg.digest())
+                    errors_hz=(0.0,) * len(cfg.delays_um), mode="analytic")
 
 
 _M32 = 0xFFFFFFFF
@@ -398,9 +394,7 @@ def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
               for row, p in zip(_stream_seeds(cfg.seed, len(probs)), probs)]
     return DipCurve(delays_um=tuple(cfg.delays_um),
                     rates_hz=tuple(r for r, _ in points),
-                    errors_hz=tuple(e for _, e in points),
-                    scheme=cfg.scheme.kind, mode="mc",
-                    config_digest=cfg.digest())
+                    errors_hz=tuple(e for _, e in points), mode="mc")
 
 
 def signal_singles_probabilities(cfg: ExperimentConfig) -> Dict[str, float]:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from mandeldip import analysis, cli, fock, runner
 from mandeldip.analysis import dip_model
+from mandeldip.detect import DetectorModel
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -67,7 +69,8 @@ def test_analytic_command_rejects_out_of_range(capsys):
 
 
 def test_scan_ideal_threefold(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, base_config())
+    cfg = base_config()
+    cfg_path = write_config(tmp_path, cfg)
     out_dir = tmp_path / "out"
     assert cli.main(["scan", str(cfg_path), "--mode", "analytic",
                      "--out", str(out_dir)]) == 0
@@ -82,6 +85,7 @@ def test_scan_ideal_threefold(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert set(manifest["outputs"]) == {"curve", "fit"}
+    assert manifest["experiment_digest"] == cli.parse_config(cfg).digest()
 
 
 def test_scan_fivefold_band(tmp_path):
@@ -226,6 +230,17 @@ FOUR_DETECTORS = [{"eta": 0.3}] * 4
     # an infinite grid end once kept the grid loop appending without end
     pytest.param({"delays": {"min_um": -300, "max_um": math.inf,
                              "step_um": 30}}, "'max_um'", id="max_um-1e400"),
+    pytest.param({"max_pair": 8}, "unknown key 'max_pair' in config",
+                 id="max_pair-unknown"),
+    pytest.param({"mc": {"pulses_per_point": 50000, "sed": 5}},
+                 "unknown key 'sed' in mc", id="mc-sed-unknown"),
+    pytest.param({"sources": [{"zeta": 0.2, "P": 0.04}, {"P": 0.04}]},
+                 "sources[0]", id="zeta-and-P"),
+    # step_um below the float spacing: 1e17 + 1 == 1e17
+    pytest.param({"delays": {"min_um": 1e17, "max_um": 1e17 + 100,
+                             "step_um": 1}}, "delays", id="grid-stuck"),
+    pytest.param({"delays": {"min_um": 0, "max_um": 1e6, "step_um": 1e-3}},
+                 "delays", id="grid-1e9-points"),
 ])
 def test_scan_rejects_config_values_of_the_wrong_type(tmp_path, capsys,
                                                        override, named):
@@ -321,6 +336,43 @@ def test_fit_rejects_bad_header(tmp_path, capsys):
     csv_path = tmp_path / "bad.csv"
     csv_path.write_text("a,b,c\n1,2,3\n")
     assert cli.main(["fit", str(csv_path)]) == 2
+
+
+def test_config_without_optional_keys_takes_the_dataclass_defaults():
+    cfg = base_config()
+    for key in ("mc", "pulse_rate_hz", "collection_efficiency", "small_eta"):
+        del cfg[key]
+    for detector in cfg["detectors"]:
+        del detector["dark_prob"]
+    parsed = cli.parse_config(cfg)
+    defaults = {f.name: f.default
+                for f in dataclasses.fields(runner.ExperimentConfig)}
+    for name in ("pulses_per_point", "seed", "pulse_rate_hz",
+                 "collection_efficiency", "polarization_angle_rad",
+                 "spectral_mismatch", "max_pairs", "small_eta"):
+        # repr tells 1 from 1.0, as the experiment digest does
+        assert repr(getattr(parsed, name)) == repr(defaults[name]), name
+    dark = {f.name: f.default for f in dataclasses.fields(DetectorModel)}
+    for detector in parsed.detectors.values():
+        assert repr(detector.dark_prob) == repr(dark["dark_prob"])
+
+
+LAB_FIVEFOLD = json.loads((CONFIG_DIR / "lab_fivefold.json").read_text())
+
+
+@pytest.mark.parametrize("delays, expected", [
+    pytest.param(LAB_FIVEFOLD["delays"],
+                 tuple(map(float, range(-500, 491, 33))), id="lab_fivefold"),
+    pytest.param({"min_um": -0.5, "max_um": 0.5, "step_um": 0.1},
+                 tuple(k / 10 for k in range(-5, 6)), id="-0.5..0.5-by-0.1"),
+    pytest.param({"min_um": 0, "max_um": 1, "step_um": 0.3},
+                 (0.0, 0.3, 0.6, 0.9), id="0..1-by-0.3"),
+])
+def test_delay_grid_points(delays, expected):
+    grid = cli.parse_config(base_config(delays=delays)).delays_um
+    assert grid == expected
+    # a zero delay is +0.0, so curve.csv writes it as 0, never -0
+    assert all(math.copysign(1.0, d) == 1.0 for d in grid if d == 0.0)
 
 
 def test_shipped_configs_parse():

@@ -207,7 +207,6 @@ def test_analytic_curve_metadata():
     assert curve.mode == "analytic"
     assert all(e == 0.0 for e in curve.errors_hz)
     assert all(r >= 0.0 for r in curve.rates_hz)
-    assert curve.config_digest == cfg.digest()
 
 
 def test_digest_stability():
