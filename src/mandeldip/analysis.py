@@ -28,7 +28,8 @@ _FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 @dataclass(frozen=True)
 class DipFit:
-    """Fitted dip parameters and fit diagnostics."""
+    """Fitted dip parameters and fit diagnostics of a converged fit;
+    `fit_dip` raises on a fit that does not converge."""
 
     s: float
     visibility: float
@@ -36,7 +37,6 @@ class DipFit:
     covariance: Tuple[Tuple[float, ...], ...]
     residual_norm: float
     iterations: int
-    converged: bool
     clamped: bool = False  # fitted V fell outside [0, 1] and was clamped
 
     def __post_init__(self):
@@ -59,7 +59,7 @@ class DipFit:
             "fwhm_um": self.fwhm_um,
             "residual": self.residual_norm,
             "iterations": self.iterations,
-            "converged": self.converged,
+            "converged": True,
             "clamped": self.clamped,
         }
 
@@ -180,7 +180,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
                       sigma_tau_um=max(sigma0, 1e-30),
                       covariance=((0.0,) * 3,) * 3,
                       residual_norm=math.sqrt(float(((y - s0) ** 2).dot(w2))),
-                      iterations=0, converged=True)
+                      iterations=0)
 
     ordered = np.sort(tau)
     steps = ordered[1:] - ordered[:-1]
@@ -258,7 +258,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
     return DipFit(s=s, visibility=v, sigma_tau_um=sigma,
                   covariance=tuple(map(tuple, cov.tolist())),
                   residual_norm=math.sqrt(current),
-                  iterations=iterations, converged=True, clamped=clamped)
+                  iterations=iterations, clamped=clamped)
 
 
 def visibility(od_rate: float, id_rate: float) -> float:

@@ -104,13 +104,22 @@ def _section(mapping, where: str) -> dict:
             if key in keys or key in mapping}
 
 
+def _build(where: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, whose ValueError (a dataclass's range
+    check) becomes a ConfigError that names section `where`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_source(entry, where: str) -> SourceParams:
     source = _section(entry, where)
     if len(source) != 1:
         raise ConfigError(f"{where} needs exactly one of 'zeta' and 'P'")
     if "zeta" in source:
-        return SourceParams(zeta=source["zeta"])
-    return SourceParams.from_pair_probability(source["P"])
+        return _build(where, SourceParams, zeta=source["zeta"])
+    return _build(where, SourceParams.from_pair_probability, source["P"])
 
 
 def parse_config(data: dict, seed_override: Optional[int] = None
@@ -124,21 +133,25 @@ def parse_config(data: dict, seed_override: Optional[int] = None
     s2 = _parse_source(sources[1], "sources[1]")
 
     filters = _section(options.pop("filters"), "filters")
-    signal = FilterSpec(filters["signal_nm"], filters["signal_fwhm_nm"])
-    herald = FilterSpec(filters["herald_nm"], filters["herald_fwhm_nm"])
+    signal = _build("filters", FilterSpec, filters["signal_nm"],
+                    filters["signal_fwhm_nm"])
+    herald = _build("filters", FilterSpec, filters["herald_nm"],
+                    filters["herald_fwhm_nm"])
     # energy conservation fixes the pump centre: 1/pump = 1/signal + 1/herald
-    pump = FilterSpec(1.0 / (1.0 / signal.center_nm + 1.0 / herald.center_nm),
-                      filters["pump_fwhm_nm"])
+    pump = _build("filters", FilterSpec,
+                  1.0 / (1.0 / signal.center_nm + 1.0 / herald.center_nm),
+                  filters["pump_fwhm_nm"])
 
     det_entries = options.pop("detectors")
     if len(det_entries) != 4:
         raise ConfigError("'detectors' must list 4 entries "
                           "(Ge-1310, InGaAs-1310, InGaAs-1550-1, InGaAs-1550-2)")
     detectors = {
-        role: DetectorModel(role, **_section(entry, f"detectors[{role}]"))
+        role: _build(f"detectors[{role}]", DetectorModel, role,
+                     **_section(entry, f"detectors[{role}]"))
         for role, entry in zip(ALL_ROLES, det_entries)}
 
-    scheme = CoincidenceScheme(options.pop("scheme"))
+    scheme = _build("config", CoincidenceScheme, options.pop("scheme"))
 
     delays = _section(options.pop("delays"), "delays")
     lo, hi, step = delays["min_um"], delays["max_um"], delays["step_um"]
@@ -157,13 +170,10 @@ def parse_config(data: dict, seed_override: Optional[int] = None
     if seed_override is not None:
         options["seed"] = seed_override
 
-    try:
-        return ExperimentConfig(
-            source1=s1, source2=s2,
-            signal_filter=signal, herald_filter=herald, pump_filter=pump,
-            detectors=detectors, scheme=scheme, delays_um=grid, **options)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build("config", ExperimentConfig,
+                  source1=s1, source2=s2,
+                  signal_filter=signal, herald_filter=herald, pump_filter=pump,
+                  detectors=detectors, scheme=scheme, delays_um=grid, **options)
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -10,7 +10,7 @@ laser-clock gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Tuple
 
 GE_1310 = "Ge-1310"
 INGAAS_1310 = "InGaAs-1310"
@@ -61,26 +61,3 @@ def click_probability(n: int, det: DetectorModel) -> float:
         raise ValueError("photon number must be non-negative")
     return 1.0 - (1.0 - det.eta) ** n * (1.0 - det.dark_prob)
 
-
-def accidental_rate(scheme: CoincidenceScheme,
-                    detectors: Mapping[str, DetectorModel],
-                    singles: Mapping[str, float]) -> float:
-    """Per-gate probability of a coincidence involving a dark count.
-
-    `singles` are the per-gate signal-only click probabilities of each
-    detector. The estimate treats detectors as independent: it is the
-    probability that all scheme detectors click minus the probability
-    that all click on signal alone, i.e. coincidences where at least one
-    click is a dark count.
-    """
-    full = 1.0
-    signal_only = 1.0
-    for role in scheme.roles:
-        s = singles[role]
-        if s < 0.0 or s > 1.0:
-            raise ValueError(f"singles probability for {role!r} out of [0, 1]")
-        d = detectors[role].dark_prob
-        # d == 0 short-circuit keeps the dark-free case exactly zero
-        full *= s if d == 0.0 else 1.0 - (1.0 - s) * (1.0 - d)
-        signal_only *= s
-    return max(0.0, full - signal_only)

@@ -45,11 +45,6 @@ class SourceParams:
         """Per-pair probability ratio tanh^2(zeta) of the geometric law."""
         return math.tanh(self.zeta) ** 2
 
-    @property
-    def pair_probability(self) -> float:
-        """Probability P of one pair per pulse; defined as lambda."""
-        return self.lam
-
 
 def pair_number_distribution(params: SourceParams, n: int) -> float:
     """Probability of creating exactly n pairs in one pulse."""

@@ -28,7 +28,7 @@ not depend on the grid size.
 
 The accidental floor needs none of this: its singles are taken at
 overlap 0, where no photons interfere and each click probability is a
-closed form (`signal_singles_probabilities`).
+closed form (`accidental_floor_hz`, the floor's one home).
 
 Two execution modes turn p(delay) into `DipCurve`s:
 
@@ -38,8 +38,8 @@ Two execution modes turn p(delay) into `DipCurve`s:
   sampling pair counts, output patterns and clicks pulse by pulse gives
   the same count distribution. Delay point i draws from numpy's PCG64
   seeded by the `SeedSequence` child (seed, i), whose states
-  `_stream_seeds` derives for the whole grid at once, so results are
-  bit-identical regardless of evaluation order.
+  `_stream_seeds` derives for the whole grid at once from numpy's seed
+  pool, so results are bit-identical regardless of evaluation order.
   A per-pulse path is only needed again for an effect that couples
   pulses, such as detector dead time, afterpulsing or pump drift across
   a scan.
@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ValueError(f"max_pairs must lie in [1, {MAX_PAIRS_LIMIT}]")
         if self.pulse_rate_hz <= 0:
             raise ValueError("pulse_rate_hz must be positive")
+        if not 0.0 <= self.spectral_mismatch <= 1.0:
+            raise ValueError("spectral_mismatch must lie in [0, 1]")
 
     def effective_detectors(self) -> Dict[str, DetectorModel]:
         """Detector models with collection losses folded into eta."""
@@ -285,14 +287,13 @@ def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
                     errors_hz=(0.0,) * len(cfg.delays_um), mode="analytic")
 
 
-_M32 = 0xFFFFFFFF
-
-
-def _hash_constants(c: int, mult: int):
-    """(xor, multiplier) pairs of a `SeedSequence` hash: c, c*mult, ..."""
-    while True:
-        yield c, c * mult & _M32
-        c = c * mult & _M32
+def _hash_constants(c: int, mult: int, start: int, n: int):
+    """(xor, multiplier) columns of calls start..start + n - 1 of a
+    `SeedSequence` hash: call k xors c mult^k and multiplies by
+    c mult^(k+1), mod 2**32."""
+    h = np.array([c * pow(mult, k, 1 << 32) & 0xFFFFFFFF
+                  for k in range(start, start + n + 1)], np.uint32)[:, None]
+    return h[:-1], h[1:]
 
 
 def _stream_seeds(seed: int, n_points: int) -> np.ndarray:
@@ -301,42 +302,22 @@ def _stream_seeds(seed: int, n_points: int) -> np.ndarray:
 
     numpy hashes the seed's 32-bit words, padded to its 4-word pool, into
     the pool, then the index word, then hashes the pool out to 8 words.
-    The seed part runs once on masked Python ints; the rest depends on i
-    and runs over the grid as uint32 arrays, which wrap silently.
+    The seed part is numpy's own `SeedSequence(seed).pool`; the rest
+    depends on i and runs over the grid as uint32 arrays, which wrap
+    silently.
     """
-    seed = operator.index(seed)  # numpy ints as Python ints: no overflow
-    if seed < 0:  # before the split: a negative int never shifts to 0
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = [seed & _M32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _M32)
-    words += [0] * (4 - len(words))
-    consts = _hash_constants(0x43B0D7E5, 0x931E8875)
-
-    def hashmix(v):
-        h, m = next(consts)
-        v = (v ^ h) * m & _M32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x & _M32) - (0x4973F715 * y & _M32) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for s in range(4):
-        for d in range(4):
-            if s != d:
-                pool[d] = mix(pool[d], hashmix(pool[s]))
-    for w in words[4:]:
-        pool = [mix(x, hashmix(w)) for x in pool]
-    # the index word, hashed and mixed into each pool word as (4, n) arrays
-    xor, mul = np.array([next(consts) for _ in pool], np.uint32).T[..., None]
+    seed = operator.index(seed)  # None must not reach numpy's OS entropy
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # the seed's words took 4 hash calls each, for at least 4 words; the
+    # index word is hashed and mixed into each pool word as (4, n) arrays
+    skip = 4 * max(4, (seed.bit_length() + 31) // 32)
+    xor, mul = _hash_constants(0x43B0D7E5, 0x931E8875, skip, 4)
     v = (np.arange(n_points, dtype=np.uint32) ^ xor) * mul
-    v = mix(np.array(pool, np.uint32)[:, None], v ^ v >> 16)
+    v ^= v >> 16
+    v = 0xCA01F9DD * pool - 0x4973F715 * v  # numpy's `mix`
+    v ^= v >> 16
     # the output hash cycles twice through the pool; words pair little-endian
-    out = _hash_constants(0x8B51F9DD, 0x58F38DED)
-    xor, mul = np.array([next(out) for _ in range(8)], np.uint32).T[..., None]
+    xor, mul = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 8)
     v = (np.concatenate((v, v)) ^ xor) * mul
     v ^= v >> 16
     return v.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
@@ -397,29 +378,29 @@ def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
                     errors_hz=tuple(e for _, e in points), mode="mc")
 
 
-def signal_singles_probabilities(cfg: ExperimentConfig) -> Dict[str, float]:
-    """Per-gate signal-only click probability of each scheme detector,
-    evaluated far outside the dip (overlap 0). There each photon is
+def accidental_floor_hz(cfg: ExperimentConfig) -> float:
+    """Delay-independent accidental rate: scheme coincidences with at
+    least one dark click, the detectors taken as independent. The
+    signal-only singles s are taken at overlap 0, where each photon is
     thinned on its own: a dark-free detector of efficiency eta that can
     receive n photons, each with probability f, clicks with probability
     1 - (1 - f eta)^n. (n, f) is (n1 + n2, 1/2) for c and d, and (n1, 1)
-    and (n2, 1) for the heralds."""
+    and (n2, 1) for the heralds. The floor is prod(1 - (1 - s)(1 - dark))
+    minus prod(s) over the scheme's roles."""
+    if cfg.small_eta:
+        return 0.0
     detectors = cfg.effective_detectors()
-    singles = {role: 0.0 for role in cfg.scheme.roles}
+    singles = dict.fromkeys(cfg.scheme.roles, 0.0)
     for n1, n2, p in _pair_configs(cfg):
         arrivals = ((n1 + n2, 0.5), (n1 + n2, 0.5), (n1, 1.0), (n2, 1.0))
         for role, (n, f) in zip(ALL_ROLES, arrivals):
             if role in singles:
                 eta = detectors[role].eta
                 singles[role] += p * (1.0 - (1.0 - f * eta) ** n)
-    return singles
-
-
-def accidental_floor_hz(cfg: ExperimentConfig) -> float:
-    """Delay-independent accidental-coincidence rate estimate."""
-    if cfg.small_eta:
-        return 0.0
-    singles = signal_singles_probabilities(cfg)
-    per_gate = detect.accidental_rate(cfg.scheme, cfg.effective_detectors(),
-                                      singles)
-    return per_gate * cfg.pulse_rate_hz
+    full = signal_only = 1.0
+    for role, s in singles.items():
+        d = detectors[role].dark_prob
+        # d == 0 short-circuit keeps the dark-free floor exactly zero
+        full *= s if d == 0.0 else 1.0 - (1.0 - s) * (1.0 - d)
+        signal_only *= s
+    return max(0.0, full - signal_only) * cfg.pulse_rate_hz

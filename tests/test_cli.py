@@ -180,6 +180,26 @@ def test_module_entry_point_prints_no_runtime_warning():
                                                                  abs=1e-6)
 
 
+def loads_numpy_random(statement):
+    """Whether `statement`, run in a fresh interpreter, loads numpy.random."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = f"import sys; {statement}; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    return json.loads(proc.stdout.strip().lower())
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # numpy.random adds about 4 ms to every process start; only a scan
+    # that draws loads it
+    if loads_numpy_random("import numpy"):
+        pytest.skip("importing numpy alone loads numpy.random")
+    assert loads_numpy_random("import mandeldip.cli") is False
+
+
 def test_scan_empty_delay_grid_fails(tmp_path, capsys):
     cfg = base_config(delays={"min_um": 100, "max_um": 0, "step_um": 10})
     cfg_path = write_config(tmp_path, cfg)
@@ -241,9 +261,26 @@ FOUR_DETECTORS = [{"eta": 0.3}] * 4
                              "step_um": 1}}, "delays", id="grid-stuck"),
     pytest.param({"delays": {"min_um": 0, "max_um": 1e6, "step_um": 1e-3}},
                  "delays", id="grid-1e9-points"),
+    # a value out of its range names the section that holds it
+    pytest.param({"detectors": FOUR_DETECTORS[:2] + [{"eta": 1.5}]
+                  + FOUR_DETECTORS[3:]},
+                 "detectors[InGaAs-1550-1]: efficiency", id="eta-1.5"),
+    pytest.param({"sources": [{"P": 0.04}, {"P": 1.5}]},
+                 "sources[1]: pair probability", id="P-1.5"),
+    pytest.param({"scheme": "fourfold"}, "config: scheme kind",
+                 id="scheme-fourfold"),
+    pytest.param({"filters": {**base_config()["filters"], "signal_fwhm_nm": -1}},
+                 "filters: filter bandwidth", id="signal_fwhm-negative"),
+    pytest.param({"spectral_mismatch": 3}, "config: spectral_mismatch",
+                 id="spectral_mismatch-3"),
 ])
 def test_scan_rejects_config_values_of_the_wrong_type(tmp_path, capsys,
-                                                       override, named):
+                                                       monkeypatch, override,
+                                                       named):
+    def engine(cfg):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(runner, "_coincidence_probs", engine)
     cfg_path = write_config(tmp_path,
                             base_config(**{"small_eta": False, **override}))
     # json writes inf as Infinity; the file holds the overflowing literal

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from mandeldip import detect, runner
+from mandeldip import analysis, detect, runner
 from mandeldip.detect import (CoincidenceScheme, DetectorModel, GE_1310,
                               INGAAS_1310, INGAAS_1550_1, INGAAS_1550_2)
 from mandeldip.pdc import SourceParams
+from mandeldip.runner import DipCurve
 
 
 def det(eta, dark=0.0, name="det"):
@@ -78,36 +79,31 @@ def test_silent_detector_kills_coincidence():
     assert coincidence_weight((2, 0, 0, 0), "threefold") == 0.0
 
 
-def test_accidentals_vanish_without_darks():
-    scheme = CoincidenceScheme("threefold")
-    singles = {GE_1310: 0.01, INGAAS_1310: 0.02}
-    assert detect.accidental_rate(scheme, make_detectors(0.0), singles) == 0.0
-
-
-def test_accidentals_positive_with_darks():
-    scheme = CoincidenceScheme("threefold")
-    singles = {GE_1310: 0.01, INGAAS_1310: 0.02}
-    acc = detect.accidental_rate(scheme, make_detectors(1e-3), singles)
-    assert acc > 0.0
-    with pytest.raises(ValueError):
-        detect.accidental_rate(scheme, make_detectors(1e-3),
-                               {GE_1310: -0.1, INGAAS_1310: 0.02})
+def lab_scale_raw_curve():
+    """Out-of-dip, in-dip and out-of-dip raw rates at the measured scale:
+    a net dip of V 0.28 on 160 Hz, plus a 20 Hz floor."""
+    od_raw, floor, v_net = 180.0, 20.0, 0.28
+    id_raw = (od_raw - floor) * (1 - v_net) + floor
+    curve = DipCurve(delays_um=(-500.0, 0.0, 500.0),
+                     rates_hz=(od_raw, id_raw, od_raw), errors_hz=(0.0,) * 3)
+    return curve, floor
 
 
 def test_net_visibility_exceeds_raw():
     # subtracting a delay-independent floor increases the dip contrast
-    od_raw, floor, v_net = 180.0, 20.0, 0.28
-    od_net = od_raw - floor
-    id_net = od_net * (1 - v_net)
-    id_raw = id_net + floor
-    v_raw = (od_raw - id_raw) / od_raw
+    raw, floor = lab_scale_raw_curve()
+    net = analysis.subtract_floor(raw, floor)
+    v_raw = analysis.visibility(*raw.rates_hz[:2])
+    v_net = analysis.visibility(*net.rates_hz[:2])
+    assert v_net == pytest.approx(0.28, rel=1e-12)
     assert v_raw < v_net
 
 
 def test_lab_scale_raw_visibility_band():
     # raw V = V_net * (od - acc) / od with the measured-scale rates
-    od_raw, acc, v_net = 180.0, 20.0, 0.28
-    v_raw = v_net * (od_raw - acc) / od_raw
+    raw, _ = lab_scale_raw_curve()
+    v_raw = analysis.visibility(*raw.rates_hz[:2])
+    assert v_raw == pytest.approx(0.28 * (180.0 - 20.0) / 180.0, rel=1e-12)
     assert 0.21 <= v_raw <= 0.25
 
 

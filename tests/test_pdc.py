@@ -15,7 +15,7 @@ def test_zero_squeezing_is_vacuum_only():
 
 def test_four_percent_pair_probability():
     s = SourceParams(zeta=0.2027)
-    assert s.pair_probability == pytest.approx(0.04, rel=0.01)
+    assert s.lam == pytest.approx(0.04, rel=0.01)
     expected = (1 - s.lam) * s.lam  # direct geometric evaluation
     assert pdc.pair_number_distribution(s, 1) == pytest.approx(expected)
     assert expected == pytest.approx(0.0384, abs=4e-4)

@@ -413,23 +413,32 @@ def test_analytic_fock_passes_do_not_grow_with_grid(monkeypatch):
 @pytest.mark.parametrize("name", ["ideal_threefold", "ideal_fivefold",
                                   "lab_fivefold"])
 def test_singles_match_fock_sum_at_zero_overlap(name):
+    # the floor multiplies independent singles; here the singles are sums
+    # over the full Fock pattern distribution at overlap 0
     base = cli.parse_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    # finite eta and a dark count on every detector, so no floor is 0
+    dets = {role: DetectorModel(d.name, eta=d.eta, dark_prob=d.dark_prob or 1e-4)
+            for role, d in base.detectors.items()}
+    base = dataclasses.replace(base, small_eta=False, detectors=dets)
     zero = SourceParams(zeta=0.0)
     variants = [dict(max_pairs=k) for k in (3, 4, 5, 6)]
     variants += [dict(source1=zero), dict(source2=zero)]
     for variant in variants:
         cfg = dataclasses.replace(base, **variant)
+        dets = cfg.effective_detectors()
         nodark = {role: DetectorModel(d.name, eta=d.eta, dark_prob=0.0)
-                  for role, d in cfg.effective_detectors().items()}
-        expected = {role: 0.0 for role in cfg.scheme.roles}
+                  for role, d in dets.items()}
+        singles = {role: 0.0 for role in cfg.scheme.roles}
         for pattern, pq in fock_pattern_distribution(cfg, 0.0):
             for role, n in zip(detect.ALL_ROLES, pattern):
-                if role in expected:
-                    expected[role] += pq * detect.click_probability(n, nodark[role])
-        got = runner.signal_singles_probabilities(cfg)
-        assert got.keys() == expected.keys()
-        for role, want in expected.items():
-            assert abs(got[role] - want) <= 1e-12 * want, (variant, role)
+                if role in singles:
+                    singles[role] += pq * detect.click_probability(n, nodark[role])
+        full = math.prod(1.0 - (1.0 - s) * (1.0 - dets[role].dark_prob)
+                         for role, s in singles.items())
+        want = (full - math.prod(singles.values())) * cfg.pulse_rate_hz
+        got = runner.accidental_floor_hz(cfg)
+        assert want > 0.0
+        assert abs(got - want) <= 1e-12 * want, (variant, got, want)
 
 
 def test_perfect_post_selected_dip_stays_non_negative():
