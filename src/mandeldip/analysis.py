@@ -24,6 +24,7 @@ import numpy as np
 from .runner import DipCurve
 
 _FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+MIN_FIT_POINTS = 5  # fewest points a fit takes; `cli` checks scan grids
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,8 @@ def fit_dip(curve: DipCurve) -> DipFit:
     tau = np.asarray(curve.delays_um, dtype=float)
     y = np.asarray(curve.rates_hz, dtype=float)
     err = np.asarray(curve.errors_hz, dtype=float)
-    if len(tau) < 5:
-        raise ValueError("fit requires at least 5 points")
+    if len(tau) < MIN_FIT_POINTS:
+        raise ValueError(f"fit requires at least {MIN_FIT_POINTS} points")
     w = 1.0 / err if err.min() > 0.0 else np.ones_like(y)
     w2 = w * w
 
@@ -182,9 +183,8 @@ def fit_dip(curve: DipCurve) -> DipFit:
                       residual_norm=math.sqrt(float(((y - s0) ** 2).dot(w2))),
                       iterations=0)
 
-    ordered = np.sort(tau)
-    steps = ordered[1:] - ordered[:-1]
-    steps = steps[steps > 0.0]
+    steps = np.diff(np.sort(tau))
+    steps = steps[steps > 0.0]  # not np.unique, which imports numpy.ma
     if steps.size == 0:
         raise ValueError("fit requires at least two distinct delays")
     tau2 = tau ** 2

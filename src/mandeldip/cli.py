@@ -5,8 +5,8 @@ Subcommands:
   scan      run a delay scan from a JSON config; write CSV, fit, manifest
   fit       fit a curve CSV and print the fit report JSON
 
-Config and validation failures exit nonzero with a machine-readable
-error JSON on stderr. Output files are written atomically.
+Config and validation failures exit 2 with an error JSON on stderr. A
+scan refuses before its engine runs, or writes all three files atomically.
 """
 
 from __future__ import annotations
@@ -244,6 +244,9 @@ def _fit_report(curve: DipCurve) -> dict:
 def cmd_scan(args) -> int:
     config_text = Path(args.config).read_text()
     cfg = parse_config(json.loads(config_text), seed_override=args.seed)
+    if len(cfg.delays_um) < analysis.MIN_FIT_POINTS:
+        raise ConfigError(f"delays give {len(cfg.delays_um)} points; the fit "
+                          f"needs at least {analysis.MIN_FIT_POINTS} points")
     if args.mode == "mc":
         curve = runner.dip_curve_mc(cfg)
     else:
@@ -268,6 +271,7 @@ def cmd_scan(args) -> int:
         "config_digest": hashlib.sha256(config_text.encode()).hexdigest(),
         "experiment_digest": cfg.digest(),
         "tool_version": __version__,
+        "mode": args.mode,
         "seed": cfg.seed,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": {"curve": str(curve_path), "fit": str(fit_path)},
@@ -318,7 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and JSON errors too
         print(json.dumps({"error": str(exc),
                           "type": type(exc).__name__}), file=sys.stderr)
         return 2

@@ -105,8 +105,7 @@ class PureState:
     """Sparse superposition of occupation-number basis vectors."""
 
     def __init__(self, registry: ModeRegistry,
-                 terms: Dict[Tuple[int, ...], complex],
-                 prune_threshold: float = PRUNE_THRESHOLD):
+                 terms: Dict[Tuple[int, ...], complex]):
         self.registry = registry
         cleaned: Dict[Tuple[int, ...], complex] = {}
         for occ, amp in terms.items():
@@ -118,7 +117,7 @@ class PureState:
             if sum(occ) > registry.n_max:
                 raise TruncationError(
                     f"total photon number {sum(occ)} exceeds N_max={registry.n_max}")
-            if abs(amp) > prune_threshold:
+            if abs(amp) > PRUNE_THRESHOLD:
                 cleaned[occ] = complex(amp)
         self.terms = cleaned
 
@@ -201,9 +200,9 @@ def apply_superposed_creation(state: PureState,
     return result
 
 
-def beamsplitter_amplitudes(na: int, nb: int) -> Dict[Tuple[int, int], complex]:
+def beamsplitter_amplitudes(na: int, nb: int) -> List[complex]:
     """Output amplitudes of the two-mode basis state |na, nb> on the 50-50
-    beam splitter: {(kc, kd): <kc, kd| U |na, nb>} with kc + kd = na + nb.
+    beam splitter: entry kc is <kc, kd| U |na, nb> with kd = na + nb - kc.
 
     Expands (a_dag)^na (b_dag)^nb / sqrt(na! nb!) in the output creation
     operators; the ket factor sqrt(kc! kd!) turns each monomial into a
@@ -212,16 +211,16 @@ def beamsplitter_amplitudes(na: int, nb: int) -> Dict[Tuple[int, int], complex]:
     """
     if na < 0 or nb < 0:
         raise ValueError("photon numbers must be non-negative")
-    combos: Dict[Tuple[int, int], complex] = defaultdict(complex)
+    combos = [0j] * (na + nb + 1)
     pref = _SQRT_HALF ** (na + nb) / math.sqrt(
         math.factorial(na) * math.factorial(nb))
     for j in range(na + 1):
         ca = math.comb(na, j) * (1j) ** (na - j)
         for k in range(nb + 1):
             cb = math.comb(nb, k) * (1j) ** k
-            combos[(j + k, na + nb - j - k)] += pref * ca * cb
-    return {(kc, kd): coeff * math.sqrt(math.factorial(kc) * math.factorial(kd))
-            for (kc, kd), coeff in combos.items()}
+            combos[j + k] += pref * ca * cb
+    return [coeff * math.sqrt(math.factorial(kc) * math.factorial(na + nb - kc))
+            for kc, coeff in enumerate(combos)]
 
 
 def apply_beamsplitter(state: PureState,
@@ -269,10 +268,10 @@ def apply_beamsplitter(state: PureState,
             kets = beamsplitter_amplitudes(na, nb)
             next_partials: Dict[Tuple[int, ...], complex] = defaultdict(complex)
             for pocc, pamp in partials.items():
-                for (kc, kd), ket in kets.items():
+                for kc, ket in enumerate(kets):
                     occ2 = list(pocc)
                     occ2[ci] += kc
-                    occ2[di] += kd
+                    occ2[di] += na + nb - kc
                     next_partials[tuple(occ2)] += pamp * ket
             partials = dict(next_partials)
         for occ2, amp2 in partials.items():

@@ -5,10 +5,10 @@ wavelength l gives a coherence length l_c = (2 ln2 / pi) * l^2 / dl
 (FWHM, Gaussian time-bandwidth convention). The dip of the coincidence
 rate versus optical delay then has FWHM sqrt(2) * l_c.
 
-The overlap amplitude m collapses path delay, polarization mismatch and
-a scalar spectral-mismatch knob into the single number consumed by the
-Fock layer: photon 2's temporal mode is m * (matched) +
-sqrt(1 - |m|^2) * (orthogonal).
+Path delay, polarization mismatch and a scalar spectral-mismatch knob
+set photon 2's temporal mode m * (matched) + sqrt(1 - |m|^2) *
+(orthogonal). The engine reads x = |m|^2 over the grid (`overlap_sq`);
+only the Fock reference takes m itself (`decompose_modes`).
 """
 
 from __future__ import annotations

@@ -180,9 +180,6 @@ class DipCurve:
             raise ValueError("rates and errors must be finite and "
                              "non-negative")
 
-    def __len__(self) -> int:
-        return len(self.delays_um)
-
 
 def analytic_visibility_threefold() -> float:
     """Ideal two-pair dip visibility without post-selection."""
@@ -258,8 +255,8 @@ def _coincidence_probs(cfg: ExperimentConfig) -> np.ndarray:
     w_c, w_d, w_h1, w_h2 = _click_weights(cfg)
     # output-c photon-number distribution of every two-mode split
     # |na, nb> a scan can need, indexed by kc
-    splits = {(na, nb): [abs(a) ** 2 for _, a in
-                         sorted(fock.beamsplitter_amplitudes(na, nb).items())]
+    splits = {(na, nb): [abs(a) ** 2 for a in
+                         fock.beamsplitter_amplitudes(na, nb)]
               for na in range(cfg.max_pairs + 1)
               for nb in range(cfg.max_pairs + 1 - na)}
     coeffs: Dict[Tuple[int, int], float] = defaultdict(float)
@@ -282,7 +279,7 @@ def _coincidence_probs(cfg: ExperimentConfig) -> np.ndarray:
 def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
     """Closed-form expected coincidence rate at every delay point."""
     rates = cfg.pulse_rate_hz * _coincidence_probs(cfg)
-    return DipCurve(delays_um=tuple(cfg.delays_um),
+    return DipCurve(delays_um=cfg.delays_um,
                     rates_hz=tuple(rates.tolist()),
                     errors_hz=(0.0,) * len(cfg.delays_um), mode="analytic")
 
@@ -352,13 +349,11 @@ def _mc_draw(cfg: ExperimentConfig, row: np.ndarray,
     drift across a scan would couple pulses and need a per-pulse path
     again.
     """
-    if cfg.small_eta:
-        raise ValueError("Monte Carlo mode requires finite efficiencies")
     rng = np.random.Generator(np.random.PCG64(_state_row_type()(row)))
     n_pulses = cfg.pulses_per_point
     p_hat = int(rng.binomial(n_pulses, p)) / n_pulses
     rate = p_hat * cfg.pulse_rate_hz
-    err = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_pulses) * cfg.pulse_rate_hz
+    err = math.sqrt(p_hat * (1.0 - p_hat) / n_pulses) * cfg.pulse_rate_hz
     return rate, err
 
 
@@ -370,10 +365,12 @@ def _mc_point(cfg: ExperimentConfig, point_index: int,
 
 def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
     """Monte Carlo delay scan; deterministic per (seed, point index)."""
+    if cfg.small_eta:
+        raise ValueError("Monte Carlo mode requires finite efficiencies")
+    rows = _stream_seeds(cfg.seed, len(cfg.delays_um))
     probs = _coincidence_probs(cfg).tolist()
-    points = [_mc_draw(cfg, row, p)
-              for row, p in zip(_stream_seeds(cfg.seed, len(probs)), probs)]
-    return DipCurve(delays_um=tuple(cfg.delays_um),
+    points = [_mc_draw(cfg, row, p) for row, p in zip(rows, probs)]
+    return DipCurve(delays_um=cfg.delays_um,
                     rates_hz=tuple(r for r, _ in points),
                     errors_hz=tuple(e for _, e in points), mode="mc")
 

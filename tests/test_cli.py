@@ -83,6 +83,7 @@ def test_scan_ideal_threefold(tmp_path, capsys):
     assert len(lines) == 22  # header + 21 grid points
 
     manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["mode"] == "analytic"
     assert manifest["seed"] == 5
     assert set(manifest["outputs"]) == {"curve", "fit"}
     assert manifest["experiment_digest"] == cli.parse_config(cfg).digest()
@@ -113,6 +114,7 @@ def test_scan_mc_mode_and_seed_override(tmp_path):
                      "--out", str(out_b), "--seed", "123"]) == 0
     assert (out_a / "curve.csv").read_text() == (out_b / "curve.csv").read_text()
     manifest = json.loads((out_a / "manifest.json").read_text())
+    assert manifest["mode"] == "mc"
     assert manifest["seed"] == 123
 
 
@@ -305,6 +307,31 @@ def test_scan_rejects_max_pairs_beyond_the_limit(tmp_path, capsys,
     assert "max_pairs" in err["error"]
     limit = cli.parse_config(base_config(max_pairs=runner.MAX_PAIRS_LIMIT))
     assert limit.max_pairs == runner.MAX_PAIRS_LIMIT
+
+
+@pytest.mark.parametrize("override, args, named", [
+    pytest.param({"small_eta": True}, ["--mode", "mc"], "finite efficiencies",
+                 id="mc-small-eta"),
+    pytest.param({}, ["--mode", "mc", "--seed", "-1"], "non-negative",
+                 id="mc-negative-seed"),
+    pytest.param({"delays": {"min_um": -20, "max_um": 20, "step_um": 20}}, [],
+                 f"at least {analysis.MIN_FIT_POINTS} points",
+                 id="three-point-grid"),
+])
+def test_scan_refuses_before_the_engine_runs(tmp_path, capsys, monkeypatch,
+                                             override, args, named):
+    def engine(cfg):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(runner, "_coincidence_probs", engine)
+    cfg_path = write_config(tmp_path,
+                            base_config(**{"small_eta": False, **override}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["scan", str(cfg_path), *args,
+                     "--out", str(out_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert named in err["error"]
+    assert not out_dir.exists()
 
 
 def test_scan_rejects_a_negative_mc_seed(tmp_path, capsys):
