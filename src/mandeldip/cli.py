@@ -6,7 +6,9 @@ Subcommands:
   fit       fit a curve CSV and print the fit report JSON
 
 Config and validation failures exit 2 with an error JSON on stderr. A
-scan refuses before its engine runs, or writes all three files atomically.
+scan refuses before its engine runs, or writes curve.csv, fit.json and
+manifest.json in turn, each atomically: the set is not, so a failed write
+can leave the files before it, and only manifest.json marks a whole set.
 """
 
 from __future__ import annotations

@@ -11,6 +11,12 @@ polarization sublabel pair, with the convention
     b_dag -> (i c_dag + d_dag) / sqrt(2)
 
 All operations are pure functions; states are never mutated in place.
+
+The module is also the exact reference the engine is tested against:
+`pair_configuration_state` builds one (n1, n2) pulse. Source 1's 1310 nm
+photons enter input a, source 2's input b, their 1550 nm twins the
+herald channels, and each source-2 photon is m * b(matched) +
+sqrt(1 - |m|^2) * b(orthogonal) for overlap amplitude m (`decompose_modes`).
 """
 
 from __future__ import annotations
@@ -65,10 +71,6 @@ class ModeRegistry:
         self._modes = modes
         self._index = {m: i for i, m in enumerate(modes)}
         self.n_max = int(n_max)
-
-    @property
-    def modes(self) -> Tuple[Mode, ...]:
-        return self._modes
 
     def index(self, mode: Mode | Tuple[str, ...]) -> int:
         return self._index[Mode(*mode)]
@@ -146,9 +148,6 @@ class PureState:
         return PureState(self.registry,
                          {occ: amp / n for occ, amp in self.terms.items()})
 
-    def __repr__(self) -> str:
-        return f"PureState({len(self.terms)} terms, norm={self.norm():.6f})"
-
 
 def apply_creation(state: PureState, mode: Mode | Tuple[str, ...],
                    power: int = 1) -> PureState:
@@ -223,28 +222,23 @@ def beamsplitter_amplitudes(na: int, nb: int) -> List[complex]:
             for kc, coeff in enumerate(combos)]
 
 
-def apply_beamsplitter(state: PureState,
-                       in_modes: Tuple[str, str] = ("a", "b"),
-                       out_modes: Tuple[str, str] = ("c", "d")) -> PureState:
-    """50-50 beam splitter mapping the two input spatial labels onto the
-    two output spatial labels, identically for every temporal and
-    polarization sublabel.
+def apply_beamsplitter(state: PureState) -> PureState:
+    """50-50 beam splitter mapping inputs a, b onto outputs c, d,
+    identically for every temporal and polarization sublabel.
 
-    Preconditions: the state has no photons in the output spatial modes.
+    Preconditions: the state has no photons in c or d.
     Unitary: the output norm equals the input norm.
     """
     reg = state.registry
-    a_lbl, b_lbl = in_modes
-    c_lbl, d_lbl = out_modes
     new_terms: Dict[Tuple[int, ...], complex] = defaultdict(complex)
     for occ, amp in state.terms.items():
         sublabels = []
         base = list(occ)
-        for i, (mode, n) in enumerate(zip(reg.modes, occ)):
-            if mode.spatial in out_modes and n > 0:
+        for i, (mode, n) in enumerate(zip(reg, occ)):
+            if mode.spatial in ("c", "d") and n > 0:
                 raise ValueError(
                     f"photons already present in output mode {mode}")
-            if mode.spatial in in_modes and n > 0:
+            if mode.spatial in ("a", "b") and n > 0:
                 sub = (mode.temporal, mode.pol)
                 if sub not in sublabels:
                     sublabels.append(sub)
@@ -254,12 +248,12 @@ def apply_beamsplitter(state: PureState,
         partials: Dict[Tuple[int, ...], complex] = {tuple(base): amp}
         for temporal, pol in sublabels:
             na = nb = 0
-            if Mode(a_lbl, temporal, pol) in reg:
-                na = occ[reg.index(Mode(a_lbl, temporal, pol))]
-            if Mode(b_lbl, temporal, pol) in reg:
-                nb = occ[reg.index(Mode(b_lbl, temporal, pol))]
-            c_mode = Mode(c_lbl, temporal, pol)
-            d_mode = Mode(d_lbl, temporal, pol)
+            if Mode("a", temporal, pol) in reg:
+                na = occ[reg.index(Mode("a", temporal, pol))]
+            if Mode("b", temporal, pol) in reg:
+                nb = occ[reg.index(Mode("b", temporal, pol))]
+            c_mode = Mode("c", temporal, pol)
+            d_mode = Mode("d", temporal, pol)
             if c_mode not in reg or d_mode not in reg:
                 raise ValueError(
                     f"registry lacks output modes for sublabel "
@@ -309,3 +303,35 @@ def mode_probabilities(state: PureState,
         pattern = tuple(sum(occ[i] for i in idxs) for idxs in group_indices)
         probs[pattern] += abs(amp) ** 2
     return dict(probs)
+
+
+def decompose_modes(m: complex) -> tuple[complex, float]:
+    """Split the delayed photon into matched/orthogonal amplitudes."""
+    if abs(m) > 1.0 + 1e-12:
+        raise ValueError("overlap amplitude must satisfy |m| <= 1")
+    return complex(m), math.sqrt(max(0.0, 1.0 - abs(m) ** 2))
+
+
+def pair_configuration_state(registry: ModeRegistry, n1: int, n2: int,
+                             overlap: complex = 1.0) -> PureState:
+    """Normalized Fock state for a fixed (n1, n2) pair configuration.
+
+    Source-1 photons sit in a(matched); each source-2 photon occupies the
+    single wave packet m*b(matched) + sqrt(1-|m|^2)*b(orthogonal) where
+    m is the overlap amplitude. Heralds track the pair numbers exactly.
+    """
+    if n1 < 0 or n2 < 0:
+        raise ValueError("pair numbers must be non-negative")
+    m, ortho = decompose_modes(overlap)
+    state = PureState.vacuum(registry)
+    if n1 > 0:
+        state = apply_creation(state, Mode("a", "matched", "H"), n1)
+        state = apply_creation(state, Mode("herald1", "matched", "H"), n1)
+    if n2 > 0:
+        state = apply_superposed_creation(
+            state,
+            [(Mode("b", "matched", "H"), m),
+             (Mode("b", "orthogonal", "H"), ortho)],
+            n2)
+        state = apply_creation(state, Mode("herald2", "matched", "H"), n2)
+    return state.normalized()

@@ -6,9 +6,8 @@ wavelength l gives a coherence length l_c = (2 ln2 / pi) * l^2 / dl
 rate versus optical delay then has FWHM sqrt(2) * l_c.
 
 Path delay, polarization mismatch and a scalar spectral-mismatch knob
-set photon 2's temporal mode m * (matched) + sqrt(1 - |m|^2) *
-(orthogonal). The engine reads x = |m|^2 over the grid (`overlap_sq`);
-only the Fock reference takes m itself (`decompose_modes`).
+set the overlap x = |m|^2 of photon 2's wave packet with photon 1's,
+which the engine reads over the grid (`overlap_sq`).
 """
 
 from __future__ import annotations
@@ -30,16 +29,14 @@ class FilterSpec:
     fwhm_nm: float
 
     def __post_init__(self):
-        if self.center_nm <= 0:
-            raise ValueError("filter center wavelength must be positive")
-        if not self.fwhm_nm > 0:
-            raise ValueError("filter bandwidth must be positive")
+        if not 0.0 < self.center_nm < math.inf:
+            raise ValueError("filter center must be positive and finite")
+        if not 0.0 < self.fwhm_nm < math.inf:
+            raise ValueError("filter bandwidth must be positive and finite")
 
 
 def coherence_length(filt: FilterSpec) -> float:
     """FWHM coherence length in um set by a Gaussian filter."""
-    if math.isinf(filt.fwhm_nm):
-        raise ValueError("coherence length undefined for infinite bandwidth")
     lam_um = filt.center_nm * 1e-3
     dlam_um = filt.fwhm_nm * 1e-3
     return _GAUSSIAN_TB_FACTOR * lam_um ** 2 / dlam_um
@@ -64,13 +61,8 @@ def heralded_bandwidth(signal_filter: FilterSpec, herald_filter: FilterSpec,
             f"1/{herald_filter.center_nm}")
     ratio = signal_filter.center_nm / herald_filter.center_nm
     mapped_fwhm = herald_filter.fwhm_nm * ratio ** 2
-    if math.isinf(mapped_fwhm):
-        return signal_filter
-    if math.isinf(signal_filter.fwhm_nm):
-        combined = mapped_fwhm
-    else:
-        combined = 1.0 / math.sqrt(signal_filter.fwhm_nm ** -2
-                                   + mapped_fwhm ** -2)
+    combined = 1.0 / math.sqrt(signal_filter.fwhm_nm ** -2
+                               + mapped_fwhm ** -2)
     return FilterSpec(center_nm=signal_filter.center_nm, fwhm_nm=combined)
 
 
@@ -91,10 +83,3 @@ def overlap_sq(delays_um, coherence_length_um: float,
     d = np.asarray(delays_um, dtype=float)
     return (math.cos(polarization_angle_rad) ** 2 * (1.0 - spectral_mismatch)
             * np.exp(-d ** 2 / (2.0 * sigma_d ** 2)))
-
-
-def decompose_modes(m: complex) -> tuple[complex, float]:
-    """Split the delayed photon into matched/orthogonal amplitudes."""
-    if abs(m) > 1.0 + 1e-12:
-        raise ValueError("overlap amplitude must satisfy |m| <= 1")
-    return complex(m), math.sqrt(max(0.0, 1.0 - abs(m) ** 2))

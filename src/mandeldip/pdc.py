@@ -6,11 +6,6 @@ lambda = tanh^2(zeta) and zeta is the squeezing parameter. The two
 sources are independent, and the heralds record (n1, n2) in every
 pulse, so pair configurations never interfere: a pulse is the mixture
 of the fixed-(n1, n2) states with weights p(n1) p(n2).
-
-Each source's 1310 nm photon enters a beam-splitter input (source 1 ->
-a, source 2 -> b) while its 1550 nm twin goes to the source's dedicated
-herald channel. The temporal sublabel of the source-2 photons is set by
-the distinguishability overlap amplitude supplied by the optics layer.
 """
 
 from __future__ import annotations
@@ -19,9 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import fock, optics
-from .fock import Mode, ModeRegistry, PureState
 
 
 @dataclass(frozen=True)
@@ -52,31 +44,6 @@ def pair_number_distribution(params: SourceParams, n: int) -> float:
         raise ValueError("pair number must be non-negative")
     lam = params.lam
     return (1.0 - lam) * lam ** n
-
-
-def pair_configuration_state(registry: ModeRegistry, n1: int, n2: int,
-                             overlap: complex = 1.0) -> PureState:
-    """Normalized Fock state for a fixed (n1, n2) pair configuration.
-
-    Source-1 photons sit in a(matched); each source-2 photon occupies the
-    single wave packet m*b(matched) + sqrt(1-|m|^2)*b(orthogonal) where
-    m is the overlap amplitude. Heralds track the pair numbers exactly.
-    """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("pair numbers must be non-negative")
-    m, ortho = optics.decompose_modes(overlap)
-    state = PureState.vacuum(registry)
-    if n1 > 0:
-        state = fock.apply_creation(state, Mode("a", "matched", "H"), n1)
-        state = fock.apply_creation(state, Mode("herald1", "matched", "H"), n1)
-    if n2 > 0:
-        state = fock.apply_superposed_creation(
-            state,
-            [(Mode("b", "matched", "H"), m),
-             (Mode("b", "orthogonal", "H"), ortho)],
-            n2)
-        state = fock.apply_creation(state, Mode("herald2", "matched", "H"), n2)
-    return state.normalized()
 
 
 def sample_pair_count_arrays(s1: SourceParams, s2: SourceParams, size: int,

@@ -351,7 +351,8 @@ def _mc_draw(cfg: ExperimentConfig, row: np.ndarray,
     """
     rng = np.random.Generator(np.random.PCG64(_state_row_type()(row)))
     n_pulses = cfg.pulses_per_point
-    p_hat = int(rng.binomial(n_pulses, p)) / n_pulses
+    # only rounding of the truncated sum takes p above 1
+    p_hat = int(rng.binomial(n_pulses, min(p, 1.0))) / n_pulses
     rate = p_hat * cfg.pulse_rate_hz
     err = math.sqrt(p_hat * (1.0 - p_hat) / n_pulses) * cfg.pulse_rate_hz
     return rate, err

@@ -118,6 +118,23 @@ def test_scan_mc_mode_and_seed_override(tmp_path):
     assert manifest["seed"] == 123
 
 
+def test_mc_scan_of_a_probability_rounded_above_one(tmp_path):
+    # every dark probability at its largest valid value: the truncated
+    # click sum rounds above 1, which the binomial draw must not see
+    data = json.loads((CONFIG_DIR / "ideal_threefold.json").read_text())
+    data.update(small_eta=False, max_pairs=5, sources=[{"P": 0.1}] * 2,
+                detectors=[{"eta": 1.0, "dark_prob": 0.9999999999999999}] * 4)
+    assert runner._coincidence_probs(cli.parse_config(data)).max() > 1.0
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="flat curve"):
+        assert cli.main(["scan", str(write_config(tmp_path, data)),
+                         "--mode", "mc", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "curve.csv", "fit.json", "manifest.json"]
+    curve = cli.read_curve_csv(out / "curve.csv")
+    assert set(curve.rates_hz) == {data["pulse_rate_hz"]}
+
+
 def test_scan_writes_reports_when_fit_raises(tmp_path, monkeypatch):
     def no_convergence(curve):
         raise RuntimeError("dip fit did not converge")

@@ -34,7 +34,7 @@ def bs_oracle(terms):
     for kc in range(total + 1):
         for kd in range(total + 1 - kc):
             coeff = expr.coeff(c, kc).coeff(d, kd).subs({c: 0, d: 0})
-            coeff = sympy.simplify(coeff * sqrt(factorial(kc) * factorial(kd)))
+            coeff = sympy.expand(coeff * sqrt(factorial(kc) * factorial(kd)))
             if coeff != 0:
                 out[(kc, kd)] = complex(coeff)
     return out
@@ -191,16 +191,6 @@ def test_distinguishable_photons_split_half_the_time():
     out = fock.apply_beamsplitter(st)
     probs = fock.mode_probabilities(out, fock.spatial_grouping(reg, ("c", "d")))
     assert probs[(1, 1)] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_double_application_swaps_number_marginals():
-    # U^2 = i * swap for this phase convention
-    reg = fock.standard_registry()
-    st = PureState.basis(reg, {A: 2, B: 1})
-    once = fock.apply_beamsplitter(st, ("a", "b"), ("c", "d"))
-    twice = fock.apply_beamsplitter(once, ("c", "d"), ("a", "b"))
-    probs = fock.mode_probabilities(twice, fock.spatial_grouping(reg, ("a", "b")))
-    assert probs[(1, 2)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_beamsplitter_rejects_occupied_outputs():

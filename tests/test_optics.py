@@ -34,13 +34,6 @@ def test_heralded_bandwidth_mapping():
     assert eff.fwhm_nm == pytest.approx(7.14, abs=0.01)
 
 
-def test_heralded_bandwidth_infinitely_wide_herald():
-    signal = FilterSpec(1310, 10)
-    eff = optics.heralded_bandwidth(signal, FilterSpec(1550, math.inf),
-                                    FilterSpec(710, 4.5))
-    assert eff == signal
-
-
 def test_heralded_bandwidth_quadrature_combination():
     eff = optics.heralded_bandwidth(FilterSpec(1310, 10), FilterSpec(1550, 10),
                                     FilterSpec(710, 4.5))
@@ -104,19 +97,19 @@ def test_overlap_monotonicity():
 
 
 def test_decompose_modes():
-    assert optics.decompose_modes(1.0) == (1.0, 0.0)
-    assert optics.decompose_modes(0.0) == (0.0, 1.0)
-    m, o = optics.decompose_modes(0.6)
+    assert fock.decompose_modes(1.0) == (1.0, 0.0)
+    assert fock.decompose_modes(0.0) == (0.0, 1.0)
+    m, o = fock.decompose_modes(0.6)
     assert abs(m) ** 2 + o ** 2 == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        optics.decompose_modes(1.5)
+        fock.decompose_modes(1.5)
 
 
 def test_partial_overlap_coincidence_probability():
     # |1,1> coincidence after the splitter equals (1 - |m|^2) / 2
     reg = fock.standard_registry()
     for m in (0.0, 0.3, 0.8, 1.0):
-        matched, orth = optics.decompose_modes(m)
+        matched, orth = fock.decompose_modes(m)
         st = fock.apply_creation(PureState.vacuum(reg), Mode("a", "matched", "H"), 1)
         st = fock.apply_superposed_creation(
             st, [(Mode("b", "matched", "H"), matched),
@@ -127,10 +120,10 @@ def test_partial_overlap_coincidence_probability():
 
 
 def test_filter_validation():
-    with pytest.raises(ValueError):
-        FilterSpec(-1, 10)
-    with pytest.raises(ValueError):
-        FilterSpec(1310, 0)
+    for center, fwhm in ((-1, 10), (1310, 0), (math.inf, 10), (1310, math.inf),
+                         (math.nan, 10), (1310, math.nan)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FilterSpec(center, fwhm)
     with pytest.raises(ValueError):
         optics.overlap_sq(0.0, 75.0, spectral_mismatch=1.5)
     with pytest.raises(ValueError):

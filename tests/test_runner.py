@@ -344,34 +344,45 @@ def test_accidental_floor_only_with_darks():
     assert runner.accidental_floor_hz(clean) == 0.0
 
 
+def reference_pair_weights(cfg):
+    """(n1, n2, p) for n1 + n2 <= max_pairs: each source's geometric pair
+    law, renormalized over the truncation."""
+    raw = [(n1, n2, pdc.pair_number_distribution(cfg.source1, n1)
+            * pdc.pair_number_distribution(cfg.source2, n2))
+           for n1 in range(cfg.max_pairs + 1)
+           for n2 in range(cfg.max_pairs + 1 - n1)]
+    z = math.fsum(p for _, _, p in raw)
+    return [(n1, n2, p / z) for n1, n2, p in raw]
+
+
 def fock_pattern_distribution(cfg, overlap):
     """Reference: (pattern, probability) over every truncated pair
     configuration, from the full Fock state through the beam splitter."""
     registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
     # one group per detector role, in `detect.ALL_ROLES` order
     grouping = fock.spatial_grouping(registry, ("c", "d", "herald1", "herald2"))
-    for n1, n2, p in runner._pair_configs(cfg):
+    for n1, n2, p in reference_pair_weights(cfg):
         if p == 0.0:
             continue
-        state = pdc.pair_configuration_state(registry, n1, n2, overlap)
+        state = fock.pair_configuration_state(registry, n1, n2, overlap)
         out = fock.apply_beamsplitter(state)
         for pattern, q in fock.mode_probabilities(out, grouping).items():
             yield pattern, p * q
 
 
-def pointwise_rates(cfg):
+def pointwise_probs(cfg):
     """Reference engine: the full pattern distribution at each point's
-    own overlap, weighted by the detectors and summed."""
-    weights = runner._click_weights(cfg)
-    rates = []
-    for d in cfg.delays_um:
-        m = math.sqrt(optics.overlap_sq(
-            d, cfg.coherence_length_um(), cfg.polarization_angle_rad,
-            cfg.spectral_mismatch))
-        p = sum(pq * math.prod(w[n] for w, n in zip(weights, pattern))
-                for pattern, pq in fock_pattern_distribution(cfg, m))
-        rates.append(cfg.pulse_rate_hz * p)
-    return rates
+    own overlap, each pattern weighted by the scheme's detectors (a
+    threshold click, or n * eta in small-eta mode) and summed."""
+    dets = cfg.effective_detectors()
+    weights = [[1.0 if role not in cfg.scheme.roles
+                else n * dets[role].eta if cfg.small_eta
+                else detect.click_probability(n, dets[role])
+                for n in range(cfg.max_pairs + 1)]
+               for role in detect.ALL_ROLES]
+    return [sum(pq * math.prod(w[n] for w, n in zip(weights, pattern))
+                for pattern, pq in fock_pattern_distribution(cfg, math.sqrt(x)))
+            for x in cfg.overlaps_sq()]
 
 
 @pytest.mark.parametrize("name", ["ideal_threefold", "ideal_fivefold",
@@ -389,7 +400,8 @@ def test_polynomial_engine_matches_pointwise_sum(name):
         # the dip from its centre to the baseline
         cfg = dataclasses.replace(base, delays_um=base.delays_um[::5], **variant)
         got = runner.dip_curve_analytic(cfg).rates_hz
-        for g, r in zip(got, pointwise_rates(cfg)):
+        for g, p in zip(got, pointwise_probs(cfg)):
+            r = cfg.pulse_rate_hz * p
             assert abs(g - r) <= 1e-12 * r, (variant, g, r)
 
 
@@ -454,3 +466,88 @@ def test_perfect_post_selected_dip_stays_non_negative():
             assert 0.0 <= center <= 1e-12 * far
             if not small_eta:
                 assert runner.dip_curve_mc(cfg).rates_hz[0] == 0.0
+
+
+def sweep_configs(n=200, seed=16):
+    """Seeded random configs: both schemes, small-eta on and off in turn,
+    independent pair probabilities, detectors, losses, overlap knobs and
+    truncations, each on a grid symmetric through 0 that reaches the
+    far baseline."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        dets = {role: DetectorModel(role, eta=float(rng.uniform(0.01, 1.0)),
+                                    dark_prob=float(rng.uniform(0.0, 1e-3)))
+                for role in detect.ALL_ROLES}
+        half = np.sort(rng.uniform(0.0, 300.0, 3))
+        yield ExperimentConfig(
+            source1=SourceParams.from_pair_probability(rng.uniform(0.0, 0.2)),
+            source2=SourceParams.from_pair_probability(rng.uniform(0.0, 0.2)),
+            detectors=dets, scheme=CoincidenceScheme(
+                ("threefold", "fivefold")[i % 2]),
+            delays_um=np.concatenate(([-FAR], -half[::-1], [0.0], half, [FAR])),
+            collection_efficiency=float(rng.uniform(0.05, 1.0)),
+            polarization_angle_rad=float(rng.uniform(0.0, math.pi / 2)),
+            spectral_mismatch=float(rng.uniform(0.0, 1.0)),
+            max_pairs=int(rng.integers(1, 7)), small_eta=i % 4 >= 2)
+
+
+SWEEP = list(sweep_configs())
+
+
+def test_sweep_engine_matches_fock_reference():
+    for i, cfg in enumerate(SWEEP):
+        if cfg.max_pairs <= 3:
+            got = runner._coincidence_probs(cfg)
+            for g, r in zip(got, pointwise_probs(cfg)):
+                assert abs(g - r) <= 1e-12 * r, (i, g, r)
+
+
+def test_sweep_probabilities_lie_in_the_unit_interval():
+    for i, cfg in enumerate(SWEEP):
+        if not cfg.small_eta:
+            p = runner._coincidence_probs(cfg)
+            assert 0.0 <= p.min() and p.max() <= 1.0, (i, p)
+
+
+def test_sweep_is_symmetric_in_delay():
+    for i, cfg in enumerate(SWEEP):
+        p = runner._coincidence_probs(cfg)
+        assert np.array_equal(p, p[::-1]), (i, p)
+
+
+def test_sweep_dark_counts_never_lower_p():
+    for i, cfg in enumerate(SWEEP):
+        if cfg.small_eta:
+            continue
+        p = runner._coincidence_probs(cfg)
+        for role in cfg.scheme.roles:
+            dets = dict(cfg.detectors)
+            dets[role] = dataclasses.replace(
+                dets[role], dark_prob=dets[role].dark_prob + 1e-4)
+            darker = runner._coincidence_probs(
+                dataclasses.replace(cfg, detectors=dets))
+            assert np.all(darker >= p - 1e-12 * p), (i, role, darker - p)
+
+
+def moment_sum(cfg):
+    """Small-eta p over the grid: sum p(n1, n2) eta_c eta_d [eta_h1 n1
+    eta_h2 n2] <n_c n_d>, the bracket for fivefold only, where a 50/50
+    splitter fed n1 and n2 photons of overlap x gives <n_c n_d> =
+    (n1 (n1 - 1) + n2 (n2 - 1) + 2 n1 n2 (1 - x)) / 4."""
+    dets = cfg.effective_detectors()
+    eta_c, eta_d, eta_h1, eta_h2 = (dets[r].eta for r in detect.ALL_ROLES)
+    x = cfg.overlaps_sq()
+    total = np.zeros_like(x)
+    for n1, n2, p in reference_pair_weights(cfg):
+        w = p * eta_c * eta_d
+        if cfg.scheme.kind == "fivefold":
+            w *= eta_h1 * n1 * eta_h2 * n2
+        total += w * (n1 * (n1 - 1) + n2 * (n2 - 1) + 2 * n1 * n2 * (1 - x)) / 4
+    return total
+
+
+def test_sweep_small_eta_matches_moment_sum():
+    for i, cfg in enumerate(SWEEP):
+        if cfg.small_eta:
+            got, want = runner._coincidence_probs(cfg), moment_sum(cfg)
+            assert np.all(np.abs(got - want) <= 1e-13 * want), (i, got, want)
