@@ -52,7 +52,7 @@ _SCHEMA = {
                 "collection_efficiency": float,
                 "polarization_angle_rad": float, "spectral_mismatch": float,
                 "max_pairs": int, "small_eta": bool}),
-    "sources": ({}, {"zeta": float, "P": float}),  # exactly one of the two
+    "sources": ({"P": float}, {}),
     "filters": (dict.fromkeys(("signal_nm", "signal_fwhm_nm", "herald_nm",
                                "herald_fwhm_nm", "pump_fwhm_nm"), float), {}),
     "detectors": ({"eta": float}, {"dark_prob": float}),
@@ -115,15 +115,6 @@ def _build(where: str, make, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_source(entry, where: str) -> SourceParams:
-    source = _section(entry, where)
-    if len(source) != 1:
-        raise ConfigError(f"{where} needs exactly one of 'zeta' and 'P'")
-    if "zeta" in source:
-        return _build(where, SourceParams, zeta=source["zeta"])
-    return _build(where, SourceParams.from_pair_probability, source["P"])
-
-
 def parse_config(data: dict, seed_override: Optional[int] = None
                  ) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON config schema."""
@@ -131,8 +122,8 @@ def parse_config(data: dict, seed_override: Optional[int] = None
     sources = options.pop("sources")
     if len(sources) != 2:
         raise ConfigError("'sources' must be a list of two entries")
-    s1 = _parse_source(sources[0], "sources[0]")
-    s2 = _parse_source(sources[1], "sources[1]")
+    s1, s2 = (_build(where, SourceParams, _section(entry, where)["P"])
+              for where, entry in zip(("sources[0]", "sources[1]"), sources))
 
     filters = _section(options.pop("filters"), "filters")
     signal = _build("filters", FilterSpec, filters["signal_nm"],
@@ -221,15 +212,11 @@ def read_curve_csv(path: Path) -> DipCurve:
 
 def cmd_analytic(args) -> int:
     p = args.pair_probability
-    q = args.overlap_sq
-    if not 0.0 <= q <= 1.0:
-        raise ConfigError("overlap-sq must lie in [0, 1]")
-    v3 = q * runner.analytic_visibility_threefold()
-    v5 = q * runner.analytic_visibility_fivefold_max(p)
-    v5_all = q * runner.analytic_visibility_fivefold_untruncated(p)
-    print(json.dumps({"V_threefold": float(f"{v3:.6g}"),
-                      "V_fivefold_max": float(f"{v5:.6g}"),
-                      "V_fivefold_untruncated": float(f"{v5_all:.6g}")},
+    values = {"V_threefold": runner.analytic_visibility_threefold(),
+              "V_fivefold_max": runner.analytic_visibility_fivefold_max(p),
+              "V_fivefold_untruncated":
+                  runner.analytic_visibility_fivefold_untruncated(p)}
+    print(json.dumps({k: float(f"{v:.6g}") for k, v in values.items()},
                      indent=2))
     return 0
 
@@ -303,8 +290,6 @@ def _parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analytic",
                           help="closed-form dip visibilities for a pair probability")
     p_an.add_argument("--pair-probability", "-P", type=float, required=True)
-    p_an.add_argument("--overlap-sq", type=float, default=1.0,
-                      help="center overlap |m|^2 (default 1)")
 
     p_scan = sub.add_parser("scan", help="run a delay scan from a JSON config")
     p_scan.add_argument("config", help="path to JSON config")

@@ -66,20 +66,28 @@ def heralded_bandwidth(signal_filter: FilterSpec, herald_filter: FilterSpec,
     return FilterSpec(center_nm=signal_filter.center_nm, fwhm_nm=combined)
 
 
+def dip_variance(coherence_length_um: float) -> float:
+    """Variance s^2 of the Gaussian |m(delay)|^2, s = l_c / (2 sqrt(ln 2));
+    a ValueError unless l_c > 0 and s^2 is a positive finite float."""
+    variance = (coherence_length_um / (2.0 * math.sqrt(math.log(2.0)))) ** 2
+    if not (coherence_length_um > 0 and 0.0 < variance < math.inf):
+        raise ValueError("the dip width's square must be a positive "
+                         "finite float")
+    return variance
+
+
 def overlap_sq(delays_um, coherence_length_um: float,
                polarization_angle_rad: float = 0.0,
                spectral_mismatch: float = 0.0) -> np.ndarray:
     """Overlap |m(delay)|^2 of the delayed photon at every delay.
 
     |m(delay)|^2 = cos^2(angle) * (1 - mismatch) * exp(-d^2 / (2 s^2))
-    with s = l_c / (2 sqrt(ln 2)), so |m|^2 versus delay has FWHM
+    with s^2 from `dip_variance`, so |m|^2 versus delay has FWHM
     sqrt(2) * l_c.
     """
-    if coherence_length_um <= 0:
-        raise ValueError("coherence length must be positive")
     if not 0.0 <= spectral_mismatch <= 1.0:
         raise ValueError("spectral_mismatch must lie in [0, 1]")
-    sigma_d = coherence_length_um / (2.0 * math.sqrt(math.log(2.0)))
+    variance = dip_variance(coherence_length_um)
     d = np.asarray(delays_um, dtype=float)
     return (math.cos(polarization_angle_rad) ** 2 * (1.0 - spectral_mismatch)
-            * np.exp(-d ** 2 / (2.0 * sigma_d ** 2)))
+            * np.exp(-d ** 2 / (2.0 * variance)))

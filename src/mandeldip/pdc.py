@@ -1,16 +1,15 @@
 """Pulsed parametric-down-conversion source statistics.
 
 A single pulsed PDC source emits n photon pairs per pulse with the
-thermal (geometric) law p(n) = (1 - lambda) * lambda^n where
-lambda = tanh^2(zeta) and zeta is the squeezing parameter. The two
-sources are independent, and the heralds record (n1, n2) in every
-pulse, so pair configurations never interfere: a pulse is the mixture
-of the fixed-(n1, n2) states with weights p(n1) p(n2).
+thermal (geometric) law p(n) = (1 - P) P^n, where the pair probability
+P is the geometric ratio that the squeezing sets. The two sources are
+independent, and the heralds record (n1, n2) in every pulse, so pair
+configurations never interfere: a pulse is the mixture of the
+fixed-(n1, n2) states with weights p(n1) p(n2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,24 +17,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Squeezing parameter and derived per-pulse pair statistics."""
+    """Pair probability P of the geometric law, stored as given."""
 
-    zeta: float
+    lam: float
 
     def __post_init__(self):
-        if self.zeta < 0:
-            raise ValueError("zeta must be non-negative")
+        if not 0.0 <= self.lam < 1.0:
+            raise ValueError("pair probability must lie in [0, 1)")
 
     @classmethod
     def from_pair_probability(cls, p: float) -> "SourceParams":
-        if not 0.0 <= p < 1.0:
-            raise ValueError("pair probability must lie in [0, 1)")
-        return cls(zeta=math.atanh(math.sqrt(p)))
-
-    @property
-    def lam(self) -> float:
-        """Per-pair probability ratio tanh^2(zeta) of the geometric law."""
-        return math.tanh(self.zeta) ** 2
+        return cls(p)
 
 
 def pair_number_distribution(params: SourceParams, n: int) -> float:

@@ -67,9 +67,9 @@ from .detect import (ALL_ROLES, CoincidenceScheme, DetectorModel, GE_1310,
 from .optics import FilterSpec
 from .pdc import SourceParams
 
-# Largest truncation accepted. At the validated P <= 0.2 the pair mass
-# beyond 20 pairs is 4e-14, while the engine's cost grows about as
-# max_pairs^4 (0.045 s per lab_fivefold scan at 20, days at 10**3).
+# Largest truncation accepted. At P = 0.2 the pair mass beyond 20 pairs
+# is 4e-14, while the engine's cost grows about as max_pairs^4 (0.045 s
+# per lab_fivefold scan at 20, days at 10**3).
 MAX_PAIRS_LIMIT = 20
 
 
@@ -123,6 +123,11 @@ class ExperimentConfig:
             raise ValueError("pulse_rate_hz must be positive")
         if not 0.0 <= self.spectral_mismatch <= 1.0:
             raise ValueError("spectral_mismatch must lie in [0, 1]")
+        try:  # a filter width too small or too large for a float dip
+            optics.dip_variance(self.coherence_length_um())
+        except ArithmeticError as exc:
+            raise ValueError("filter widths give a dip width out of the "
+                             "float range") from exc
 
     def effective_detectors(self) -> Dict[str, DetectorModel]:
         """Detector models with collection losses folded into eta."""
@@ -188,10 +193,11 @@ def analytic_visibility_threefold() -> float:
 
 def analytic_visibility_fivefold_max(p: float) -> float:
     """Post-selected visibility ceiling (1+8P)/(1+12P) from triple-pair
-    spurious coincidences; validated for P <= 0.2. This is the three-pair
-    truncation of `analytic_visibility_fivefold_untruncated`."""
-    if not 0.0 <= p <= 0.2:
-        raise ValueError("pair probability outside validated range [0, 0.2]")
+    spurious coincidences: the three-pair truncation of
+    `analytic_visibility_fivefold_untruncated`, exact for that truncation
+    at every 0 <= P < 1."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError("pair probability outside [0, 1)")
     return (1.0 + 8.0 * p) / (1.0 + 12.0 * p)
 
 
@@ -207,7 +213,7 @@ def analytic_visibility_fivefold_untruncated(p: float) -> float:
     N = n1 + n2; the heralds weigh n1 n2, and the geometric moments
     E n = m, E n^2 = m (1 + 2m) and E n^3 = m (1 + 6m + 6m^2) give the
     ratio. `analytic_visibility_fivefold_max` is this model truncated at
-    three pairs.
+    three pairs, over the same range of P.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("pair probability outside [0, 1)")

@@ -60,12 +60,18 @@ def test_analytic_command_limits(capsys):
     assert cli.main(["analytic", "-P", "0.1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["V_fivefold_max"] == pytest.approx(0.818182, abs=1e-6)
+    # (1+8P)/(1+12P) is exact for its 3-pair truncation at every P < 1
+    assert cli.main(["analytic", "-P", "0.5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"V_threefold": 0.333333, "V_fivefold_max": 0.714286,
+                   "V_fivefold_untruncated": 0.473684}
 
 
 def test_analytic_command_rejects_out_of_range(capsys):
-    assert cli.main(["analytic", "-P", "0.5"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert "error" in err
+    for p in ("1", "-0.1", "nan"):
+        assert cli.main(["analytic", "-P", p]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "pair probability" in err["error"]
 
 
 def test_scan_ideal_threefold(tmp_path, capsys):
@@ -274,7 +280,9 @@ FOUR_DETECTORS = [{"eta": 0.3}] * 4
     pytest.param({"mc": {"pulses_per_point": 50000, "sed": 5}},
                  "unknown key 'sed' in mc", id="mc-sed-unknown"),
     pytest.param({"sources": [{"zeta": 0.2, "P": 0.04}, {"P": 0.04}]},
-                 "sources[0]", id="zeta-and-P"),
+                 "unknown key 'zeta' in sources[0]", id="zeta-and-P"),
+    pytest.param({"sources": [{}, {"P": 0.04}]},
+                 "missing key 'P' in sources[0]", id="source-empty"),
     # step_um below the float spacing: 1e17 + 1 == 1e17
     pytest.param({"delays": {"min_um": 1e17, "max_um": 1e17 + 100,
                              "step_um": 1}}, "delays", id="grid-stuck"),
@@ -326,9 +334,41 @@ def test_scan_rejects_max_pairs_beyond_the_limit(tmp_path, capsys,
     assert limit.max_pairs == runner.MAX_PAIRS_LIMIT
 
 
+def filters(**widths):
+    return {**base_config()["filters"], **widths}
+
+
 @pytest.mark.parametrize("override, args, named", [
     pytest.param({"small_eta": True}, ["--mode", "mc"], "finite efficiencies",
                  id="mc-small-eta"),
+    # a source gives P only: zeta 25 would make P = tanh^2(25) round to
+    # 1.0, where the geometric law has no mass to normalise
+    pytest.param({"sources": [{"zeta": 25}, {"P": 0.04}]}, [],
+                 "unknown key 'zeta' in sources[0]", id="zeta-25"),
+    pytest.param({"sources": [{"zeta": 25}, {"P": 0.04}]}, ["--mode", "mc"],
+                 "unknown key 'zeta' in sources[0]", id="mc-zeta-25"),
+    # filter widths whose dip width has no positive finite float square:
+    # an overflowing bandwidth or coherence length, an infinite coherence
+    # length (a flat threefold curve) or a zero variance (a NaN at delay 0)
+    pytest.param({"filters": filters(signal_fwhm_nm=1e-200)}, [],
+                 "dip width", id="signal-fwhm-1e-200"),
+    pytest.param({"filters": filters(signal_fwhm_nm=1e-200),
+                  "scheme": "fivefold"}, [], "dip width",
+                 id="fivefold-signal-fwhm-1e-200"),
+    pytest.param({"filters": filters(herald_fwhm_nm=1e-200),
+                  "scheme": "fivefold"}, [], "dip width",
+                 id="fivefold-herald-fwhm-1e-200"),
+    pytest.param({"filters": filters(signal_fwhm_nm=1e-320)}, [],
+                 "dip width", id="signal-fwhm-1e-320"),
+    pytest.param({"filters": filters(signal_fwhm_nm=1e-320),
+                  "scheme": "fivefold"}, [], "dip width",
+                 id="fivefold-signal-fwhm-1e-320"),
+    pytest.param({"filters": filters(signal_fwhm_nm=1e300)}, [],
+                 "dip width", id="signal-fwhm-1e300"),
+    pytest.param({"filters": filters(signal_fwhm_nm=1e300,
+                                     herald_fwhm_nm=1e300),
+                  "scheme": "fivefold"}, [], "dip width",
+                 id="fivefold-both-fwhm-1e300"),
     pytest.param({}, ["--mode", "mc", "--seed", "-1"], "non-negative",
                  id="mc-negative-seed"),
     pytest.param({"delays": {"min_um": -20, "max_um": 20, "step_um": 20}}, [],
@@ -349,6 +389,18 @@ def test_scan_refuses_before_the_engine_runs(tmp_path, capsys, monkeypatch,
     err = json.loads(capsys.readouterr().err)
     assert named in err["error"]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("scheme", ["threefold", "fivefold"])
+def test_representable_filter_widths_still_scan(tmp_path, scheme):
+    # a dip far wider than the grid is flat, not refused
+    cfg = base_config(scheme=scheme, filters=filters(signal_fwhm_nm=1e-150))
+    out_dir = tmp_path / "out"
+    with pytest.warns(UserWarning, match="flat curve"):
+        assert cli.main(["scan", str(write_config(tmp_path, cfg)),
+                         "--out", str(out_dir)]) == 0
+    curve = cli.read_curve_csv(out_dir / "curve.csv")
+    assert len(set(curve.rates_hz)) == 1
 
 
 def test_scan_rejects_a_negative_mc_seed(tmp_path, capsys):

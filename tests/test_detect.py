@@ -54,7 +54,7 @@ def make_detectors(dark=0.0):
 def coincidence_weight(pattern, kind):
     """Click product of `runner._click_weights` for the output pattern
     (c, d, herald1, herald2) under scheme `kind`."""
-    vacuum = SourceParams(zeta=0.0)
+    vacuum = SourceParams(0.0)
     cfg = runner.ExperimentConfig(source1=vacuum, source2=vacuum,
                                   detectors=make_detectors(),
                                   scheme=CoincidenceScheme(kind),

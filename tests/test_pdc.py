@@ -8,38 +8,47 @@ from mandeldip.pdc import SourceParams
 
 
 def test_zero_squeezing_is_vacuum_only():
-    s = SourceParams(zeta=0.0)
+    s = SourceParams(0.0)
     assert pdc.pair_number_distribution(s, 0) == 1.0
     assert pdc.pair_number_distribution(s, 1) == 0.0
 
 
 def test_four_percent_pair_probability():
-    s = SourceParams(zeta=0.2027)
-    assert s.lam == pytest.approx(0.04, rel=0.01)
+    s = SourceParams.from_pair_probability(0.04)
+    assert s.lam == 0.04
     expected = (1 - s.lam) * s.lam  # direct geometric evaluation
-    assert pdc.pair_number_distribution(s, 1) == pytest.approx(expected)
-    assert expected == pytest.approx(0.0384, abs=4e-4)
+    assert pdc.pair_number_distribution(s, 1) == expected
+    assert expected == pytest.approx(0.0384, rel=1e-12)
+
+
+def test_pair_probability_is_stored_as_given():
+    # no conversion on the way in: the engine sees the P a config gives
+    ps = [0.0, 0.04, 0.1, 0.5, 0.9999999999999999]
+    ps += np.random.default_rng(17).uniform(0.0, 1.0, 1000).tolist()
+    for p in ps:
+        assert SourceParams.from_pair_probability(p).lam == p
+        assert SourceParams(p).lam == p
 
 
 def test_geometric_ratio():
-    s = SourceParams(zeta=0.3)
+    s = SourceParams(0.085)
     p1 = pdc.pair_number_distribution(s, 1)
     p2 = pdc.pair_number_distribution(s, 2)
     assert p2 / p1 == pytest.approx(s.lam, rel=1e-12)
 
 
 def test_normalization_tail_bound():
-    # zeta large enough that lam**50 is resolvable in float; at small
-    # lam the partial sum rounds to exactly 1.0 and the bound is trivial
-    s = SourceParams(zeta=1.8)
+    # P large enough that P**50 is resolvable in float; at small P the
+    # partial sum rounds to exactly 1.0 and the bound is trivial
+    s = SourceParams(0.89)
     total = sum(pdc.pair_number_distribution(s, n) for n in range(51))
     assert 1.0 - s.lam ** 50 < total <= 1.0
 
 
 def test_stimulated_emission_identity():
     # p(2) p(0) == p(1)^2 holds exactly for the geometric law
-    for zeta in (0.05, 0.2027, 0.7):
-        s = SourceParams(zeta=zeta)
+    for p in (0.0025, 0.04, 0.36):
+        s = SourceParams(p)
         p0 = pdc.pair_number_distribution(s, 0)
         p1 = pdc.pair_number_distribution(s, 1)
         p2 = pdc.pair_number_distribution(s, 2)
@@ -48,15 +57,16 @@ def test_stimulated_emission_identity():
 
 def test_invalid_parameters():
     with pytest.raises(ValueError):
-        SourceParams(zeta=-0.1)
-    with pytest.raises(ValueError):
-        SourceParams.from_pair_probability(1.0)
+        SourceParams(-0.01)
+    for p in (-0.01, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            SourceParams.from_pair_probability(p)
     with pytest.raises(ValueError):
         pdc.pair_number_distribution(SourceParams(0.1), -1)
 
 
 def test_sampling_zero_sources():
-    s = SourceParams(zeta=0.0)
+    s = SourceParams(0.0)
     for seed in range(5):
         n1, n2 = pdc.sample_pair_count_arrays(s, s, 100,
                                               np.random.default_rng(seed))
@@ -64,14 +74,14 @@ def test_sampling_zero_sources():
 
 
 def test_sampling_deterministic_per_seed():
-    s = SourceParams(zeta=0.3)
+    s = SourceParams(0.085)
     a = pdc.sample_pair_count_arrays(s, s, 1000, np.random.default_rng(777))
     b = pdc.sample_pair_count_arrays(s, s, 1000, np.random.default_rng(777))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_sampling_matches_distribution():
-    s = SourceParams(zeta=0.2027)  # lambda ~ 0.04
+    s = SourceParams(0.04)
     rng = np.random.default_rng(2024)
     n = 1_000_000
     n1, n2 = pdc.sample_pair_count_arrays(s, s, n, rng)
@@ -90,8 +100,8 @@ def test_sampling_matches_distribution():
 
 
 def test_empirical_joint_frequencies_within_4_sigma():
-    s1 = SourceParams(zeta=0.25)
-    s2 = SourceParams(zeta=0.15)
+    s1 = SourceParams(0.06)
+    s2 = SourceParams(0.022)
     rng = np.random.default_rng(5)
     n = 1_000_000
     n1, n2 = pdc.sample_pair_count_arrays(s1, s2, n, rng)

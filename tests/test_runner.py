@@ -58,23 +58,28 @@ def test_fivefold_max_formula():
     assert runner.analytic_visibility_fivefold_max(0.0) == 1.0
     assert runner.analytic_visibility_fivefold_max(0.1) == pytest.approx(
         1.8 / 2.2, rel=1e-12)
-    with pytest.raises(ValueError):
-        runner.analytic_visibility_fivefold_max(0.3)
+    # the closed form of its own truncation holds at every P < 1
+    assert runner.analytic_visibility_fivefold_max(0.3) == pytest.approx(
+        3.4 / 4.6, rel=1e-12)
+    for p in (-0.1, 1.0):
+        with pytest.raises(ValueError):
+            runner.analytic_visibility_fivefold_max(p)
 
 
 def test_fivefold_max_strictly_decreasing():
-    ps = np.linspace(0.0, 0.2, 21)
+    ps = np.linspace(0.0, 0.99, 100)
     vs = [runner.analytic_visibility_fivefold_max(p) for p in ps]
     assert all(a > b for a, b in zip(vs, vs[1:]))
 
 
 def test_fivefold_enumeration_matches_formula():
-    # brute-force 3-pair enumeration through the Fock pipeline, eta -> 0
-    for p in (0.01, 0.04, 0.1):
+    # brute-force 3-pair enumeration through the Fock pipeline, eta -> 0;
+    # the closed form is exact for that truncation at every P < 1
+    for p in (0.01, 0.04, 0.1, 0.3, 0.5, 0.9):
         cfg = make_config("fivefold", P=p, delays=(0.0, FAR))
         v = engine_visibility(cfg)
         expected = runner.analytic_visibility_fivefold_max(p)
-        assert v == pytest.approx(expected, rel=0.01)
+        assert v == pytest.approx(expected, rel=1e-12)
 
 
 def test_fivefold_untruncated_formula():
@@ -222,7 +227,7 @@ def test_digest_stability():
     detectors = dict(cfg1.detectors)
     detectors[detect.GE_1310] = DetectorModel(detect.GE_1310, eta=0.2)
     changes = dict(
-        source1=SourceParams(zeta=0.3), source2=SourceParams(zeta=0.3),
+        source1=SourceParams(0.085), source2=SourceParams(0.085),
         signal_filter=optics.FilterSpec(1310.0, 12.0),
         herald_filter=optics.FilterSpec(1550.0, 12.0),
         pump_filter=optics.FilterSpec(710.0, 5.0), detectors=detectors,
@@ -237,7 +242,7 @@ def test_digest_stability():
 
 
 def test_mc_zero_sources_dark_free_is_silent():
-    zero = SourceParams(zeta=0.0)
+    zero = SourceParams(0.0)
     dets = {role: DetectorModel(role, eta=d.eta, dark_prob=0.0)
             for role, d in runner.default_detectors().items()}
     cfg = ExperimentConfig(source1=zero, source2=zero,
@@ -389,7 +394,7 @@ def pointwise_probs(cfg):
                                   "lab_fivefold"])
 def test_polynomial_engine_matches_pointwise_sum(name):
     base = cli.parse_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
-    zero = SourceParams(zeta=0.0)
+    zero = SourceParams(0.0)
     variants = [dict(max_pairs=k, small_eta=eta)
                 for k in (1, 2, 3, 4, 5, 6) for eta in (True, False)]
     variants += [dict(source1=zero), dict(source2=zero)]
@@ -432,7 +437,7 @@ def test_singles_match_fock_sum_at_zero_overlap(name):
     dets = {role: DetectorModel(d.name, eta=d.eta, dark_prob=d.dark_prob or 1e-4)
             for role, d in base.detectors.items()}
     base = dataclasses.replace(base, small_eta=False, detectors=dets)
-    zero = SourceParams(zeta=0.0)
+    zero = SourceParams(0.0)
     variants = [dict(max_pairs=k) for k in (3, 4, 5, 6)]
     variants += [dict(source1=zero), dict(source2=zero)]
     for variant in variants:
