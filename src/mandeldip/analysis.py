@@ -8,8 +8,7 @@ squares by variable projection: for a fixed sigma the model is linear in
 is searched, over a bounded range [half the smallest delay step, grid
 span]: on a fixed grid of widths, then refined one width at a time. The
 search costs the same on every curve and cannot run off to an unbounded
-width. The covariance comes from the analytic Jacobian at the reported
-parameters.
+width.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 import numpy as np
 
@@ -35,7 +33,6 @@ class DipFit:
     s: float
     visibility: float
     sigma_tau_um: float
-    covariance: Tuple[Tuple[float, ...], ...]
     residual_norm: float
     iterations: int
     clamped: bool = False  # fitted V fell outside [0, 1] and was clamped
@@ -75,14 +72,7 @@ def dip_jacobian(tau, s, v, sigma):
     """Analytic Jacobian of dip_model w.r.t. (S, V, sigma)."""
     tau2 = np.asarray(tau, dtype=float) ** 2
     g = np.exp(-tau2 / (2.0 * sigma ** 2))
-    return _jacobian_rows(tau2, g, s, v, sigma).T
-
-
-def _jacobian_rows(tau2, g, s, v, sigma):
-    """dR/dS, dR/dV and dR/dsigma as the rows of a 3 x n array, from
-    tau^2 and the model's Gaussian g = exp(-tau^2 / (2 sigma^2)). The
-    first row times S is the model itself."""
-    return np.array([1.0 - v * g, -s * g, -s * v * g * tau2 / sigma ** 3])
+    return np.array([1.0 - v * g, -s * g, -s * v * g * tau2 / sigma ** 3]).T
 
 
 # Trial widths of the profile scan, log-spaced over [half the smallest
@@ -151,9 +141,8 @@ def fit_dip(curve: DipCurve) -> DipFit:
     fixed log-spaced grid of widths, and the grid minimum is refined by
     a bracketed root find (regula falsi with Anderson-Bjorck steps) on
     dc/dsigma that evaluates one width per step. `iterations` counts
-    those refinements. The residual and the covariance (from the
-    analytic Jacobian) are taken at the reported parameters, with the
-    Gaussian of the accepted width, which the search already computed.
+    those refinements. The residual is taken at the reported parameters,
+    with the Gaussian of the accepted width, which the search computed.
     Raises RuntimeError when the minimum sits at either end of the
     width range, the 2x2 system is singular, or S comes out at most
     1e-12 of the curve's largest rate (a vanishing or negative
@@ -179,7 +168,6 @@ def fit_dip(curve: DipCurve) -> DipFit:
         sigma0 = (float(tau.max()) - float(tau.min())) / _FWHM_PER_SIGMA
         return DipFit(s=max(s0, 1e-30), visibility=0.0,
                       sigma_tau_um=max(sigma0, 1e-30),
-                      covariance=((0.0,) * 3,) * 3,
                       residual_norm=math.sqrt(float(((y - s0) ** 2).dot(w2))),
                       iterations=0)
 
@@ -246,18 +234,9 @@ def fit_dip(curve: DipCurve) -> DipFit:
         warnings.warn(f"fitted visibility {v:.4f} clamped into [0, 1]",
                       stacklevel=2)
         v = min(max(v, 0.0), 1.0)
-    # residual and covariance scale belong to the reported parameters
-    jac = _jacobian_rows(tau2, g, s, v, sigma)
-    r = s * jac[0] - y
-    current = float((r ** 2).dot(w2))
-    dof = max(len(tau) - 3, 1)
-    try:
-        cov = np.linalg.inv((jac * w2).dot(jac.T)) * (current / dof)
-    except np.linalg.LinAlgError:
-        cov = np.full((3, 3), np.nan)
+    r = s * (1.0 - v * g) - y  # the residual of the reported parameters
     return DipFit(s=s, visibility=v, sigma_tau_um=sigma,
-                  covariance=tuple(map(tuple, cov.tolist())),
-                  residual_norm=math.sqrt(current),
+                  residual_norm=math.sqrt(float((r ** 2).dot(w2))),
                   iterations=iterations, clamped=clamped)
 
 

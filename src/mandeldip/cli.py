@@ -6,8 +6,9 @@ Subcommands:
   fit       fit a curve CSV and print the fit report JSON
 
 Config and validation failures exit 2 with an error JSON on stderr. A
-scan refuses before its engine runs, or writes curve.csv, fit.json and
-manifest.json in turn, each atomically: the set is not, so a failed write
+scan refuses before its engine runs, or removes an old manifest.json and
+writes curve.csv, fit.json and manifest.json in turn, each atomically and
+with the mode the umask gives: the set is not atomic, so a failed write
 can leave the files before it, and only manifest.json marks a whole set.
 """
 
@@ -136,9 +137,9 @@ def parse_config(data: dict, seed_override: Optional[int] = None
                   filters["pump_fwhm_nm"])
 
     det_entries = options.pop("detectors")
-    if len(det_entries) != 4:
-        raise ConfigError("'detectors' must list 4 entries "
-                          "(Ge-1310, InGaAs-1310, InGaAs-1550-1, InGaAs-1550-2)")
+    if len(det_entries) != len(ALL_ROLES):
+        raise ConfigError(f"'detectors' must list {len(ALL_ROLES)} entries "
+                          f"({', '.join(ALL_ROLES)})")
     detectors = {
         role: _build(f"detectors[{role}]", DetectorModel, role,
                      **_section(entry, f"detectors[{role}]"))
@@ -171,8 +172,11 @@ def parse_config(data: dict, seed_override: Optional[int] = None
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)  # the umask is read by setting it; set it back
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> open()'s mode
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -245,6 +249,8 @@ def cmd_scan(args) -> int:
     curve_path = out_dir / "curve.csv"
     fit_path = out_dir / "fit.json"
     manifest_path = out_dir / "manifest.json"
+    # an old manifest would mark the mixed set a failed write leaves
+    manifest_path.unlink(missing_ok=True)
     write_curve_csv(curve, curve_path)
 
     report = {"raw": _fit_report(curve)}

@@ -119,8 +119,10 @@ class ExperimentConfig:
             raise ValueError("collection_efficiency must lie in (0, 1]")
         if not 1 <= self.max_pairs <= MAX_PAIRS_LIMIT:
             raise ValueError(f"max_pairs must lie in [1, {MAX_PAIRS_LIMIT}]")
-        if self.pulse_rate_hz <= 0:
-            raise ValueError("pulse_rate_hz must be positive")
+        if not 0.0 < self.pulse_rate_hz < math.inf:
+            raise ValueError("pulse_rate_hz must be positive and finite")
+        if not math.isfinite(self.polarization_angle_rad):
+            raise ValueError("polarization_angle_rad must be finite")
         if not 0.0 <= self.spectral_mismatch <= 1.0:
             raise ValueError("spectral_mismatch must lie in [0, 1]")
         try:  # a filter width too small or too large for a float dip

@@ -125,9 +125,15 @@ def test_jacobian_matches_finite_differences():
 
 def test_fwhm_identity():
     fit = DipFit(s=1.0, visibility=0.5, sigma_tau_um=50.0,
-                 covariance=((0.0,) * 3,) * 3, residual_norm=0.0,
-                 iterations=1)
+                 residual_norm=0.0, iterations=1)
     assert fit.fwhm_um == FWHM_PER_SIGMA * 50.0
+
+
+def fisher_sigma_v(tau, s, v, sigma, var):
+    """Expected standard error of V from the Fisher information
+    J^T diag(1/var) J at (s, v, sigma): it does not depend on a fit."""
+    jac = dip_jacobian(tau, s, v, sigma)
+    return math.sqrt(np.linalg.inv((jac.T / var) @ jac)[1, 1])
 
 
 def test_weighted_fit_uses_error_bars():
@@ -135,7 +141,7 @@ def test_weighted_fit_uses_error_bars():
     sigma = 142.0 / FWHM_PER_SIGMA
     curve = synthetic_curve(160.0, 0.28, sigma, noise_rng=rng, err=2.0)
     fit = fit_dip(curve)
-    sigma_v = math.sqrt(fit.covariance[1][1])
+    sigma_v = fisher_sigma_v(curve.delays_um, 160.0, 0.28, sigma, 2.0 ** 2)
     assert abs(fit.visibility - 0.28) < 4 * sigma_v
 
 
@@ -192,7 +198,11 @@ def test_fit_on_seeded_mc_curve():
                                   pulses_per_point=1_000_000, seed=17)
     fit_mc = analysis.fit_dip(runner.dip_curve_mc(cfg))
     fit_an = analysis.fit_dip(runner.dip_curve_analytic(cfg))
-    sigma_v = math.sqrt(max(fit_mc.covariance[1][1], 1e-12))
+    # binomial variance of the rate at the analytic fit's parameters
+    params = (fit_an.s, fit_an.visibility, fit_an.sigma_tau_um)
+    p = dip_model(cfg.delays_um, *params) / cfg.pulse_rate_hz
+    var = cfg.pulse_rate_hz ** 2 * p * (1.0 - p) / cfg.pulses_per_point
+    sigma_v = fisher_sigma_v(cfg.delays_um, *params, var)
     assert abs(fit_mc.visibility - fit_an.visibility) < 3 * sigma_v
 
 

@@ -158,6 +158,35 @@ def test_scan_writes_reports_when_fit_raises(tmp_path, monkeypatch):
     assert (out_dir / "manifest.json").is_file()
 
 
+def test_failed_rescan_leaves_no_old_manifest(tmp_path, capsys):
+    cfg_path = CONFIG_DIR / "ideal_threefold.json"
+    out_dir = tmp_path / "out"
+    assert cli.main(["scan", str(cfg_path), "--out", str(out_dir)]) == 0
+    # fit.json, now a non-empty directory, makes its write fail
+    (out_dir / "fit.json").unlink()
+    (out_dir / "fit.json" / "block").mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main(["scan", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert json.loads(capsys.readouterr().err)["type"] == "IsADirectoryError"
+    assert (out_dir / "curve.csv").is_file()
+    assert not (out_dir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_scan_outputs_follow_the_umask(tmp_path, umask, mode):
+    cfg_path = write_config(tmp_path, base_config())
+    old = os.umask(umask)
+    try:
+        assert cli.main(["scan", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert os.umask(umask) == umask  # the scan left the umask as it was
+    finally:
+        os.umask(old)
+    for name in ("curve.csv", "fit.json", "manifest.json"):
+        assert (tmp_path / "out" / name).stat().st_mode & 0o777 == mode, name
+
+
 @pytest.mark.parametrize("mode", ["analytic", "mc"])
 def test_scan_runs_the_engine_once(tmp_path, monkeypatch, mode):
     # the curve runs the engine once; the accidental floor splits nothing

@@ -170,6 +170,13 @@ def test_config_validation():
         make_config(collection_efficiency=0.0)
 
 
+@pytest.mark.parametrize("field", ["pulse_rate_hz", "polarization_angle_rad"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite_rate_and_angle(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        make_config(**{field: bad})
+
+
 def good_curve_columns():
     return {"delays_um": (-1.0, 0.0, 1.0), "rates_hz": (2.0, 1.0, 2.0),
             "errors_hz": (0.5, 0.5, 0.5)}
