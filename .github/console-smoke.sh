@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Smoke test of the installed `mandel-dip` entry point on the README's
+# commands. Run from the repository root: bash .github/console-smoke.sh
+set -euo pipefail
+
+umask 022
+out="$(mktemp -d)"
+config=configs/ideal_threefold.json
+json_key() {  # json_key FILE KEY: print one top-level value of a JSON file
+  python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))[sys.argv[2]])' "$1" "$2"
+}
+
+mandel-dip analytic -P 0.04
+mandel-dip analytic -P 0.5
+mandel-dip scan "$config" --out "$out/lf"
+# the outputs take the mode the umask gives
+for f in curve.csv fit.json manifest.json; do
+  test "$(stat -c %a "$out/lf/$f")" = 644
+done
+mandel-dip fit "$out/lf/curve.csv"
+
+# a CRLF copy and a BOM copy of a config scan alike, and config_digest is
+# the hash of each file's bytes
+sed 's/$/\r/' "$config" > "$out/crlf.json"
+{ printf '\xef\xbb\xbf'; cat "$config"; } > "$out/bom.json"
+for copy in crlf bom; do
+  mandel-dip scan "$out/$copy.json" --out "$out/$copy"
+  test "$(json_key "$out/$copy/manifest.json" config_digest)" \
+    = "$(sha256sum "$out/$copy.json" | cut -d ' ' -f 1)"
+  cmp "$out/$copy/curve.csv" "$out/lf/curve.csv"
+  cmp "$out/$copy/fit.json" "$out/lf/fit.json"
+done
+
+# a curve CSV with a byte-order mark fits as the plain one does
+{ printf '\xef\xbb\xbf'; cat "$out/lf/curve.csv"; } > "$out/bom.csv"
+test "$(mandel-dip fit "$out/bom.csv")" = "$(mandel-dip fit "$out/lf/curve.csv")"
+
+# MC streams seeded from precomputed SeedSequence rows repeat bit for bit
+mandel-dip scan configs/lab_fivefold.json --mode mc --seed 20 --out "$out/mc1"
+mandel-dip scan configs/lab_fivefold.json --mode mc --seed 20 --out "$out/mc2"
+cmp "$out/mc1/curve.csv" "$out/mc2/curve.csv"
+
+# a refused scan exits 2 before the engine runs and writes nothing
+rc=0
+mandel-dip scan "$config" --mode mc --out "$out/refused" || rc=$?
+test "$rc" -eq 2
+test ! -e "$out/refused"
+
+# a re-scan whose fit.json write fails leaves no old manifest.json
+stale="$out/stale"
+mandel-dip scan "$config" --out "$stale"
+rm "$stale/fit.json"
+mkdir -p "$stale/fit.json/block"
+rc=0
+mandel-dip scan "$config" --out "$stale" || rc=$?
+test "$rc" -eq 2
+test ! -e "$stale/manifest.json"
+echo "console smoke: ok"

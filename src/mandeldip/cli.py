@@ -8,8 +8,9 @@ Subcommands:
 Config and validation failures exit 2 with an error JSON on stderr. A
 scan refuses before its engine runs, or removes an old manifest.json and
 writes curve.csv, fit.json and manifest.json in turn, each atomically and
-with the mode the umask gives: the set is not atomic, so a failed write
-can leave the files before it, and only manifest.json marks a whole set.
+with the mode the umask gives, which it never sets: the set is not atomic,
+so a failed write can leave the files before it, and only manifest.json
+marks a whole set. config_digest is the SHA-256 of the config's bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional, Sequence
@@ -172,17 +172,16 @@ def parse_config(data: dict, seed_override: Optional[int] = None
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    umask = os.umask(0)  # the umask is read by setting it; set it back
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    # "x" opens only a new name, with the umask's mode; a str, since a Path
+    # interns its name, and random names grow that table by about 1.5 MB
+    tmp = f"{path}.{os.urandom(8).hex()}"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> open()'s mode
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -195,7 +194,7 @@ def write_curve_csv(curve: DipCurve, path: Path) -> None:
 
 def read_curve_csv(path: Path) -> DipCurve:
     # one read; the lines split where iterating the file would split them
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh.readlines())
     header = next(reader, None)
     if header != CSV_HEADER:
@@ -235,8 +234,8 @@ def _fit_report(curve: DipCurve) -> dict:
 
 
 def cmd_scan(args) -> int:
-    config_text = Path(args.config).read_text()
-    cfg = parse_config(json.loads(config_text), seed_override=args.seed)
+    config_bytes = Path(args.config).read_bytes()
+    cfg = parse_config(json.loads(config_bytes), seed_override=args.seed)
     if len(cfg.delays_um) < analysis.MIN_FIT_POINTS:
         raise ConfigError(f"delays give {len(cfg.delays_um)} points; the fit "
                           f"needs at least {analysis.MIN_FIT_POINTS} points")
@@ -263,7 +262,7 @@ def cmd_scan(args) -> int:
     _atomic_write(fit_path, json.dumps(report, indent=2) + "\n")
 
     manifest = {
-        "config_digest": hashlib.sha256(config_text.encode()).hexdigest(),
+        "config_digest": hashlib.sha256(config_bytes).hexdigest(),
         "experiment_digest": cfg.digest(),
         "tool_version": __version__,
         "mode": args.mode,

@@ -56,7 +56,7 @@ import json
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
@@ -133,12 +133,8 @@ class ExperimentConfig:
 
     def effective_detectors(self) -> Dict[str, DetectorModel]:
         """Detector models with collection losses folded into eta."""
-        return {
-            role: DetectorModel(det.name,
-                                eta=det.eta * self.collection_efficiency,
-                                dark_prob=det.dark_prob)
-            for role, det in self.detectors.items()
-        }
+        return {role: replace(det, eta=det.eta * self.collection_efficiency)
+                for role, det in self.detectors.items()}
 
     def coherence_length_um(self) -> float:
         """Dip-setting coherence length for the configured scheme.

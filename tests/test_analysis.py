@@ -99,6 +99,18 @@ def test_too_few_points_rejected():
         fit_dip(curve)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("s", 0.0, "S must be positive"),
+    ("visibility", 1.5, "visibility must lie in"),
+    ("sigma_tau_um", -1.0, "sigma_tau must be positive"),
+])
+def test_dip_fit_refuses_out_of_range_parameters(field, value, message):
+    fields = dict(s=100.0, visibility=0.5, sigma_tau_um=30.0,
+                  residual_norm=0.0, iterations=0)
+    with pytest.raises(ValueError, match=message):
+        DipFit(**{**fields, field: value})
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(123)
     tau = np.linspace(-200, 200, 11)
@@ -357,3 +369,47 @@ def test_scalar_width_evaluation_matches_vector_profile():
                                    rtol=1e-13, atol=0.0)
     assert scalar[0, 1] == 0.0 and scalar[0, 2] == 0.0
     assert scalar[-1, 2] > 0.0
+
+
+def test_refinement_scales_the_upper_end_kept_twice(monkeypatch):
+    # a noiseless coarse-grid dip whose refinement lands below the root
+    # of dc/dsigma twice in a row, so Anderson-Bjorck scales f1
+    tau = np.arange(-300.0, 301.0, 40.0)
+    y = dip_model(tau, 100.0, 0.5, 30.0)
+    curve = DipCurve(delays_um=tuple(tau), rates_hz=tuple(y),
+                     errors_hz=(0.0,) * tau.size, mode="data")
+    slopes = []
+    width_profile = analysis._width_profile
+
+    def recording(*args):
+        profile, at = width_profile(*args)
+
+        def at_recorded(sigma):
+            out = at(sigma)
+            slopes.append(out[3])
+            return out
+        return profile, at_recorded
+
+    monkeypatch.setattr(analysis, "_width_profile", recording)
+    fit = fit_dip(curve)
+    # the branch runs when the second of two negative slopes is not the last
+    assert any(f0 < 0.0 and f1 < 0.0
+               for f0, f1 in zip(slopes[:-2], slopes[1:-1])), slopes
+
+    def cost(sigma):   # uniform weights: the errors are all 0
+        basis = np.column_stack([np.ones_like(tau),
+                                 -np.exp(-tau ** 2 / (2 * sigma ** 2))])
+        coef = np.linalg.lstsq(basis, y, rcond=None)[0]
+        return float(np.sum((basis @ coef - y) ** 2))
+
+    widths = np.geomspace(20.0, 600.0, 2001)
+    k = int(np.argmin([cost(x) for x in widths]))
+    lo, hi = widths[k - 1], widths[k + 1]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-14 * hi:   # golden section
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if cost(a) < cost(b):
+            hi = b
+        else:
+            lo = a
+    assert fit.sigma_tau_um == pytest.approx(0.5 * (lo + hi), rel=1e-9)

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -187,6 +188,75 @@ def test_scan_outputs_follow_the_umask(tmp_path, umask, mode):
         assert (tmp_path / "out" / name).stat().st_mode & 0o777 == mode, name
 
 
+def test_scan_never_sets_the_umask(tmp_path, monkeypatch):
+    calls = []
+    umask = os.umask
+
+    def spy(mask):
+        calls.append(mask)
+        return umask(mask)
+
+    monkeypatch.setattr(os, "umask", spy)
+    assert cli.main(["scan", str(CONFIG_DIR / "ideal_threefold.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("encode", [
+    pytest.param(lambda text: text.replace(b"\n", b"\r\n"), id="CRLF"),
+    pytest.param(lambda text: b"\xef\xbb\xbf" + text, id="BOM"),
+])
+def test_config_digest_is_the_hash_of_the_file_bytes(tmp_path, capsys,
+                                                     encode):
+    original = CONFIG_DIR / "ideal_threefold.json"
+    copy = tmp_path / "config.json"
+    copy.write_bytes(encode(original.read_bytes()))
+    for cfg_path, out in ((original, "lf"), (copy, "copy")):
+        assert cli.main(["scan", str(cfg_path),
+                         "--out", str(tmp_path / out)]) == 0
+    manifest = json.loads((tmp_path / "copy" / "manifest.json").read_text())
+    assert manifest["config_digest"] == hashlib.sha256(
+        copy.read_bytes()).hexdigest()
+    for name in ("curve.csv", "fit.json"):
+        assert ((tmp_path / "copy" / name).read_bytes()
+                == (tmp_path / "lf" / name).read_bytes()), name
+
+
+def test_fit_reads_a_curve_csv_with_a_bom(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["scan", str(CONFIG_DIR / "ideal_threefold.json"),
+                     "--out", str(out)]) == 0
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (out / "curve.csv").read_bytes())
+    capsys.readouterr()
+    reports = []
+    for csv_path in (out / "curve.csv", bom):
+        assert cli.main(["fit", str(csv_path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_failed_replace_leaves_no_temporary_sibling(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        cli._atomic_write(tmp_path / "fit.json", "{}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_never_removes_a_name_it_did_not_create(tmp_path, monkeypatch):
+    # a temporary name that is already taken is refused, and kept
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    taken = tmp_path / f"fit.json.{bytes(8).hex()}"
+    taken.write_text("not ours")
+    with pytest.raises(FileExistsError):
+        cli._atomic_write(tmp_path / "fit.json", "{}\n")
+    assert sorted(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "not ours"
+
+
 @pytest.mark.parametrize("mode", ["analytic", "mc"])
 def test_scan_runs_the_engine_once(tmp_path, monkeypatch, mode):
     # the curve runs the engine once; the accidental floor splits nothing
@@ -329,6 +399,14 @@ FOUR_DETECTORS = [{"eta": 0.3}] * 4
                  "filters: filter bandwidth", id="signal_fwhm-negative"),
     pytest.param({"spectral_mismatch": 3}, "config: spectral_mismatch",
                  id="spectral_mismatch-3"),
+    pytest.param({"sources": [{"P": 0.04}]},
+                 "'sources' must be a list of two entries", id="one-source"),
+    pytest.param({"sources": [{"P": 0.04}] * 3},
+                 "'sources' must be a list of two entries", id="three-sources"),
+    pytest.param({"detectors": FOUR_DETECTORS[:3]},
+                 "'detectors' must list 4 entries", id="three-detectors"),
+    pytest.param({"detectors": FOUR_DETECTORS + FOUR_DETECTORS[:1]},
+                 "'detectors' must list 4 entries", id="five-detectors"),
 ])
 def test_scan_rejects_config_values_of_the_wrong_type(tmp_path, capsys,
                                                        monkeypatch, override,
@@ -562,6 +640,22 @@ def test_fit_rejects_malformed_rows(tmp_path, capsys, bad_row, message):
     assert cli.main(["fit", str(csv_path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert message in err["error"]
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("delay_um,rate_hz,err_hz\n", "no data rows", id="header-only"),
+    pytest.param("delay_um,rate_hz,err_hz\n\n\n", "no data rows",
+                 id="header-and-blank-lines"),
+    pytest.param("delay_um,rate_hz,err_hz\n"
+                 + "".join(f"0,{r},1\n" for r in (90, 95, 100, 105, 110)),
+                 "at least two distinct delays", id="one-delay"),
+])
+def test_fit_rejects_a_csv_without_a_fittable_curve(tmp_path, capsys, text,
+                                                    message):
+    csv_path = tmp_path / "curve.csv"
+    csv_path.write_text(text)
+    assert cli.main(["fit", str(csv_path)]) == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_second_main_call_builds_no_parser(monkeypatch, capsys):

@@ -37,6 +37,11 @@ def test_click_probability_monotone():
     assert detect.click_probability(1, det(0.25)) == pytest.approx(0.25)
 
 
+def test_click_probability_refuses_a_negative_photon_number():
+    with pytest.raises(ValueError, match="photon number"):
+        detect.click_probability(-1, det(0.3))
+
+
 def test_small_eta_consistency():
     for eta in (0.01, 0.05, 0.1, 0.3):
         assert abs(detect.click_probability(2, det(eta)) - 2 * eta) <= eta ** 2 + 1e-15
