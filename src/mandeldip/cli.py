@@ -141,7 +141,7 @@ def parse_config(data: dict, seed_override: Optional[int] = None
         raise ConfigError(f"'detectors' must list {len(ALL_ROLES)} entries "
                           f"({', '.join(ALL_ROLES)})")
     detectors = {
-        role: _build(f"detectors[{role}]", DetectorModel, role,
+        role: _build(f"detectors[{role}]", DetectorModel,
                      **_section(entry, f"detectors[{role}]"))
         for role, entry in zip(ALL_ROLES, det_entries)}
 
@@ -209,8 +209,7 @@ def read_curve_csv(path: Path) -> DipCurve:
     if not rows:
         raise ConfigError("CSV contains no data rows")
     delays, rates, errs = zip(*rows)
-    return DipCurve(delays_um=delays, rates_hz=rates, errors_hz=errs,
-                    mode="data")
+    return DipCurve(delays_um=delays, rates_hz=rates, errors_hz=errs)
 
 
 def cmd_analytic(args) -> int:

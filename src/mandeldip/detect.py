@@ -4,7 +4,8 @@ Detectors are click/no-click: with n photons arriving, the click
 probability is 1 - (1-eta)^n * (1-dark), which reduces to 2*eta - eta^2
 for two photons and no dark counts. Gating is modeled logically: a
 coincidence scheme names the detectors that must all click on the same
-laser-clock gate.
+laser-clock gate. A detector is known by its role (`ALL_ROLES`), the key
+of its entry in an experiment's `detectors` mapping.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ ALL_ROLES = (GE_1310, INGAAS_1310, INGAAS_1550_1, INGAAS_1550_2)
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Quantum efficiency and per-gate dark-count probability."""
+    """Quantum efficiency and per-gate dark-count probability; the key
+    of an `ExperimentConfig.detectors` entry is the detector's role."""
 
-    name: str
     eta: float
     dark_prob: float = 0.0
 

@@ -25,10 +25,6 @@ class SourceParams:
         if not 0.0 <= self.lam < 1.0:
             raise ValueError("pair probability must lie in [0, 1)")
 
-    @classmethod
-    def from_pair_probability(cls, p: float) -> "SourceParams":
-        return cls(p)
-
 
 def pair_number_distribution(params: SourceParams, n: int) -> float:
     """Probability of creating exactly n pairs in one pulse."""

@@ -76,10 +76,10 @@ MAX_PAIRS_LIMIT = 20
 def default_detectors() -> Dict[str, DetectorModel]:
     """Detector park: Ge APD at 10%, InGaAs APDs at 30%."""
     return {
-        GE_1310: DetectorModel(GE_1310, eta=0.10, dark_prob=5.3e-4),
-        INGAAS_1310: DetectorModel(INGAAS_1310, eta=0.30, dark_prob=1e-4),
-        INGAAS_1550_1: DetectorModel(INGAAS_1550_1, eta=0.30, dark_prob=1e-4),
-        INGAAS_1550_2: DetectorModel(INGAAS_1550_2, eta=0.30, dark_prob=1e-4),
+        GE_1310: DetectorModel(eta=0.10, dark_prob=5.3e-4),
+        INGAAS_1310: DetectorModel(eta=0.30, dark_prob=1e-4),
+        INGAAS_1550_1: DetectorModel(eta=0.30, dark_prob=1e-4),
+        INGAAS_1550_2: DetectorModel(eta=0.30, dark_prob=1e-4),
     }
 
 
@@ -113,6 +113,9 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.delays_um, self.delays_um[1:])):
             raise ValueError("delay grid must be strictly increasing")
         # the MC's binomial draw takes the pulse count as an int64
+        if set(self.detectors) != set(ALL_ROLES):
+            raise ValueError("detectors must be keyed by exactly the roles "
+                             + ", ".join(ALL_ROLES))
         if not 1 <= self.pulses_per_point <= 2 ** 63 - 1:
             raise ValueError("pulses_per_point must lie in [1, 2**63 - 1]")
         if not 0.0 < self.collection_efficiency <= 1.0:
@@ -164,12 +167,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class DipCurve:
-    """Sampled (delay, rate, error) points and the mode that made them."""
+    """Sampled (delay, rate, error) points."""
 
     delays_um: Tuple[float, ...]
     rates_hz: Tuple[float, ...]
     errors_hz: Tuple[float, ...]
-    mode: str = "analytic"
 
     def __post_init__(self):
         if not (len(self.delays_um) == len(self.rates_hz) == len(self.errors_hz)):
@@ -285,7 +287,7 @@ def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
     rates = cfg.pulse_rate_hz * _coincidence_probs(cfg)
     return DipCurve(delays_um=cfg.delays_um,
                     rates_hz=tuple(rates.tolist()),
-                    errors_hz=(0.0,) * len(cfg.delays_um), mode="analytic")
+                    errors_hz=(0.0,) * len(cfg.delays_um))
 
 
 def _hash_constants(c: int, mult: int, start: int, n: int):
@@ -377,7 +379,7 @@ def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
     points = [_mc_draw(cfg, row, p) for row, p in zip(rows, probs)]
     return DipCurve(delays_um=cfg.delays_um,
                     rates_hz=tuple(r for r, _ in points),
-                    errors_hz=tuple(e for _, e in points), mode="mc")
+                    errors_hz=tuple(e for _, e in points))
 
 
 def accidental_floor_hz(cfg: ExperimentConfig) -> float:

@@ -13,12 +13,12 @@ from mandeldip.optics import FilterSpec
 from mandeldip.pdc import SourceParams
 from mandeldip.runner import ExperimentConfig
 
-P04 = SourceParams.from_pair_probability(0.04)
+P04 = SourceParams(0.04)
 FAR = 1e5
 
 
 def config(scheme="threefold", *, P=0.04, delays, **kw):
-    s = SourceParams.from_pair_probability(P)
+    s = SourceParams(P)
     return ExperimentConfig(source1=s, source2=s,
                             scheme=CoincidenceScheme(scheme),
                             delays_um=tuple(delays), **kw)
@@ -105,7 +105,7 @@ def test_06_stimulated_emission_identity():
 
 def test_07_two_photon_click_probability():
     for eta in (0.05, 0.1, 0.3, 0.7):
-        det = DetectorModel("d", eta=eta, dark_prob=0.0)
+        det = DetectorModel(eta=eta, dark_prob=0.0)
         assert detect.click_probability(2, det) == pytest.approx(
             2 * eta - eta ** 2, abs=1e-15)
     report(7, "click_probability(2, eta, 0)", "2*eta - eta^2 exactly")
@@ -139,7 +139,7 @@ def test_09_fitter_soundness():
     delays = np.linspace(-300, 300, 41)
     rates = analysis.dip_model(delays, 160.0, 0.28, sigma0)
     curve = runner.DipCurve(delays_um=tuple(delays), rates_hz=tuple(rates),
-                            errors_hz=(0.0,) * len(delays), mode="data")
+                            errors_hz=(0.0,) * len(delays))
     fit = analysis.fit_dip(curve)
     assert fit.s == pytest.approx(160.0, rel=1e-6)
     assert fit.visibility == pytest.approx(0.28, rel=1e-6)

@@ -24,7 +24,7 @@ def synthetic_curve(s, v, sigma, delays=None, noise_rng=None, err=0.0):
         rates = rates + noise_rng.normal(0.0, err, size=len(delays))
     errs = np.full(len(delays), err)
     return DipCurve(delays_um=tuple(delays), rates_hz=tuple(np.maximum(rates, 0.0)),
-                    errors_hz=tuple(errs), mode="data")
+                    errors_hz=tuple(errs))
 
 
 def test_recovers_lab_scale_parameters():
@@ -52,7 +52,7 @@ def test_noiseless_recovery_over_parameter_grid():
 
 def test_flat_curve_pins_visibility_at_zero():
     curve = DipCurve(delays_um=tuple(np.linspace(-100, 100, 9)),
-                     rates_hz=(42.0,) * 9, errors_hz=(0.0,) * 9, mode="data")
+                     rates_hz=(42.0,) * 9, errors_hz=(0.0,) * 9)
     with pytest.warns(UserWarning):
         fit = fit_dip(curve)
     assert fit.visibility == 0.0
@@ -94,7 +94,7 @@ def test_clamped_fit_reports_residual_of_reported_parameters():
 
 def test_too_few_points_rejected():
     curve = DipCurve(delays_um=(-10.0, 0.0, 10.0), rates_hz=(1.0, 0.5, 1.0),
-                     errors_hz=(0.0,) * 3, mode="data")
+                     errors_hz=(0.0,) * 3)
     with pytest.raises(ValueError):
         fit_dip(curve)
 
@@ -174,7 +174,7 @@ def test_pointwise_floor_subtraction_recovers_truth():
     floor = 20.0
     raw = DipCurve(delays_um=true.delays_um,
                    rates_hz=tuple(r + floor for r in true.rates_hz),
-                   errors_hz=true.errors_hz, mode="data")
+                   errors_hz=true.errors_hz)
     recovered = fit_dip(analysis.subtract_floor(raw, floor))
     assert recovered.s == pytest.approx(160.0, rel=1e-9)
     assert recovered.visibility == pytest.approx(0.28, rel=1e-9)
@@ -186,7 +186,7 @@ def test_floor_subtraction_preserves_sigma():
     for floor in (5.0, 50.0, 200.0):
         raw = DipCurve(delays_um=true.delays_um,
                        rates_hz=tuple(r + floor for r in true.rates_hz),
-                       errors_hz=true.errors_hz, mode="data")
+                       errors_hz=true.errors_hz)
         fit_raw = fit_dip(raw)
         fit_net = fit_dip(analysis.subtract_floor(raw, floor))
         assert fit_net.sigma_tau_um == pytest.approx(fit_raw.sigma_tau_um,
@@ -196,14 +196,14 @@ def test_floor_subtraction_preserves_sigma():
 
 def test_subtract_floor_clamps_at_zero():
     raw = DipCurve(delays_um=(0.0, 1.0), rates_hz=(10.0, 2.0),
-                   errors_hz=(1.0, 1.0), mode="data")
+                   errors_hz=(1.0, 1.0))
     assert analysis.subtract_floor(raw, 3.0).rates_hz == (7.0, 0.0)
     with pytest.raises(ValueError):
         analysis.subtract_floor(raw, -1.0)
 
 
 def test_fit_on_seeded_mc_curve():
-    s = SourceParams.from_pair_probability(0.04)
+    s = SourceParams(0.04)
     cfg = runner.ExperimentConfig(source1=s, source2=s,
                                   scheme=CoincidenceScheme("threefold"),
                                   delays_um=tuple(np.linspace(-250, 250, 11)),
@@ -244,7 +244,7 @@ def binomial_curve(rng, n_points):
     p_hat = rng.binomial(n_pulses, p) / n_pulses
     err = np.sqrt(p_hat * (1 - p_hat) / n_pulses)
     return DipCurve(delays_um=tuple(tau), rates_hz=tuple(p_hat * pulse_rate),
-                    errors_hz=tuple(err * pulse_rate), mode="data")
+                    errors_hz=tuple(err * pulse_rate))
 
 
 def test_fit_finds_least_squares_minimum_over_width_range():
@@ -298,7 +298,7 @@ def test_non_positive_baseline_raises():
              100.0 * np.exp(-tau ** 2 / (2 * 50.0 ** 2)))
     for rates in peaks:
         curve = DipCurve(delays_um=tuple(tau), rates_hz=tuple(rates),
-                         errors_hz=(0.0,) * 41, mode="data")
+                         errors_hz=(0.0,) * 41)
         with pytest.raises(RuntimeError, match="S = "):
             fit_dip(curve)
 
@@ -377,7 +377,7 @@ def test_refinement_scales_the_upper_end_kept_twice(monkeypatch):
     tau = np.arange(-300.0, 301.0, 40.0)
     y = dip_model(tau, 100.0, 0.5, 30.0)
     curve = DipCurve(delays_um=tuple(tau), rates_hz=tuple(y),
-                     errors_hz=(0.0,) * tau.size, mode="data")
+                     errors_hz=(0.0,) * tau.size)
     slopes = []
     width_profile = analysis._width_profile
 

@@ -9,8 +9,8 @@ from mandeldip.pdc import SourceParams
 from mandeldip.runner import DipCurve
 
 
-def det(eta, dark=0.0, name="det"):
-    return DetectorModel(name, eta=eta, dark_prob=dark)
+def det(eta, dark=0.0):
+    return DetectorModel(eta=eta, dark_prob=dark)
 
 
 def test_two_photon_click_probability():
@@ -49,10 +49,10 @@ def test_small_eta_consistency():
 
 def make_detectors(dark=0.0):
     return {
-        GE_1310: det(0.1, dark, GE_1310),
-        INGAAS_1310: det(0.3, dark, INGAAS_1310),
-        INGAAS_1550_1: det(0.3, dark, INGAAS_1550_1),
-        INGAAS_1550_2: det(0.3, dark, INGAAS_1550_2),
+        GE_1310: det(0.1, dark),
+        INGAAS_1310: det(0.3, dark),
+        INGAAS_1550_1: det(0.3, dark),
+        INGAAS_1550_2: det(0.3, dark),
     }
 
 
@@ -114,9 +114,9 @@ def test_lab_scale_raw_visibility_band():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        DetectorModel("x", eta=1.5)
+        DetectorModel(eta=1.5)
     with pytest.raises(ValueError):
-        DetectorModel("x", eta=0.5, dark_prob=1.0)
+        DetectorModel(eta=0.5, dark_prob=1.0)
     with pytest.raises(ValueError):
         CoincidenceScheme("fourfold")
     assert CoincidenceScheme("fivefold").roles == detect.ALL_ROLES

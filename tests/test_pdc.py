@@ -14,7 +14,7 @@ def test_zero_squeezing_is_vacuum_only():
 
 
 def test_four_percent_pair_probability():
-    s = SourceParams.from_pair_probability(0.04)
+    s = SourceParams(0.04)
     assert s.lam == 0.04
     expected = (1 - s.lam) * s.lam  # direct geometric evaluation
     assert pdc.pair_number_distribution(s, 1) == expected
@@ -26,7 +26,6 @@ def test_pair_probability_is_stored_as_given():
     ps = [0.0, 0.04, 0.1, 0.5, 0.9999999999999999]
     ps += np.random.default_rng(17).uniform(0.0, 1.0, 1000).tolist()
     for p in ps:
-        assert SourceParams.from_pair_probability(p).lam == p
         assert SourceParams(p).lam == p
 
 
@@ -56,11 +55,9 @@ def test_stimulated_emission_identity():
 
 
 def test_invalid_parameters():
-    with pytest.raises(ValueError):
-        SourceParams(-0.01)
     for p in (-0.01, 1.0, math.nan):
         with pytest.raises(ValueError):
-            SourceParams.from_pair_probability(p)
+            SourceParams(p)
     with pytest.raises(ValueError):
         pdc.pair_number_distribution(SourceParams(0.1), -1)
 

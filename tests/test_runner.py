@@ -13,14 +13,14 @@ from mandeldip.detect import CoincidenceScheme, DetectorModel
 from mandeldip.pdc import SourceParams
 from mandeldip.runner import ExperimentConfig
 
-P04 = SourceParams.from_pair_probability(0.04)
+P04 = SourceParams(0.04)
 FAR = 1e5  # um, far outside any dip
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_config(scheme="threefold", *, P=0.04, delays=None, small_eta=True,
                 max_pairs=3, **kw):
-    s = SourceParams.from_pair_probability(P)
+    s = SourceParams(P)
     if delays is None:
         delays = tuple(np.linspace(-300, 300, 31))
     return ExperimentConfig(source1=s, source2=s,
@@ -216,7 +216,6 @@ def test_dip_curve_rejects_unequal_lengths(column):
 def test_analytic_curve_metadata():
     cfg = make_config(delays=np.linspace(-100, 100, 7))
     curve = runner.dip_curve_analytic(cfg)
-    assert curve.mode == "analytic"
     assert all(e == 0.0 for e in curve.errors_hz)
     assert all(r >= 0.0 for r in curve.rates_hz)
 
@@ -232,7 +231,7 @@ def test_digest_stability():
     assert as_array.digest() == cfg1.digest()
     # every field enters the digest
     detectors = dict(cfg1.detectors)
-    detectors[detect.GE_1310] = DetectorModel(detect.GE_1310, eta=0.2)
+    detectors[detect.GE_1310] = DetectorModel(eta=0.2)
     changes = dict(
         source1=SourceParams(0.085), source2=SourceParams(0.085),
         signal_filter=optics.FilterSpec(1310.0, 12.0),
@@ -250,7 +249,7 @@ def test_digest_stability():
 
 def test_mc_zero_sources_dark_free_is_silent():
     zero = SourceParams(0.0)
-    dets = {role: DetectorModel(role, eta=d.eta, dark_prob=0.0)
+    dets = {role: DetectorModel(eta=d.eta, dark_prob=0.0)
             for role, d in runner.default_detectors().items()}
     cfg = ExperimentConfig(source1=zero, source2=zero,
                            scheme=CoincidenceScheme("threefold"),
@@ -350,7 +349,7 @@ def test_mc_rejects_small_eta_mode():
 def test_accidental_floor_only_with_darks():
     cfg = make_config(small_eta=False)
     assert runner.accidental_floor_hz(cfg) > 0.0
-    dets = {role: DetectorModel(role, eta=d.eta, dark_prob=0.0)
+    dets = {role: DetectorModel(eta=d.eta, dark_prob=0.0)
             for role, d in runner.default_detectors().items()}
     clean = make_config(small_eta=False, detectors=dets)
     assert runner.accidental_floor_hz(clean) == 0.0
@@ -441,7 +440,7 @@ def test_singles_match_fock_sum_at_zero_overlap(name):
     # over the full Fock pattern distribution at overlap 0
     base = cli.parse_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
     # finite eta and a dark count on every detector, so no floor is 0
-    dets = {role: DetectorModel(d.name, eta=d.eta, dark_prob=d.dark_prob or 1e-4)
+    dets = {role: DetectorModel(eta=d.eta, dark_prob=d.dark_prob or 1e-4)
             for role, d in base.detectors.items()}
     base = dataclasses.replace(base, small_eta=False, detectors=dets)
     zero = SourceParams(0.0)
@@ -450,7 +449,7 @@ def test_singles_match_fock_sum_at_zero_overlap(name):
     for variant in variants:
         cfg = dataclasses.replace(base, **variant)
         dets = cfg.effective_detectors()
-        nodark = {role: DetectorModel(d.name, eta=d.eta, dark_prob=0.0)
+        nodark = {role: DetectorModel(eta=d.eta, dark_prob=0.0)
                   for role, d in dets.items()}
         singles = {role: 0.0 for role in cfg.scheme.roles}
         for pattern, pq in fock_pattern_distribution(cfg, 0.0):
@@ -468,7 +467,7 @@ def test_singles_match_fock_sum_at_zero_overlap(name):
 def test_perfect_post_selected_dip_stays_non_negative():
     # fivefold at two pairs post-selects the one interfering term, so the
     # centre rate is exactly zero; rounding must not push it below
-    dets = {role: DetectorModel(role, eta=d.eta, dark_prob=0.0)
+    dets = {role: DetectorModel(eta=d.eta, dark_prob=0.0)
             for role, d in runner.default_detectors().items()}
     for p in (0.01, 0.04, 0.1, 0.2):
         for small_eta in (True, False):
@@ -487,13 +486,13 @@ def sweep_configs(n=200, seed=16):
     far baseline."""
     rng = np.random.default_rng(seed)
     for i in range(n):
-        dets = {role: DetectorModel(role, eta=float(rng.uniform(0.01, 1.0)),
+        dets = {role: DetectorModel(eta=float(rng.uniform(0.01, 1.0)),
                                     dark_prob=float(rng.uniform(0.0, 1e-3)))
                 for role in detect.ALL_ROLES}
         half = np.sort(rng.uniform(0.0, 300.0, 3))
         yield ExperimentConfig(
-            source1=SourceParams.from_pair_probability(rng.uniform(0.0, 0.2)),
-            source2=SourceParams.from_pair_probability(rng.uniform(0.0, 0.2)),
+            source1=SourceParams(rng.uniform(0.0, 0.2)),
+            source2=SourceParams(rng.uniform(0.0, 0.2)),
             detectors=dets, scheme=CoincidenceScheme(
                 ("threefold", "fivefold")[i % 2]),
             delays_um=np.concatenate(([-FAR], -half[::-1], [0.0], half, [FAR])),
