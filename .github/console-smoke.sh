@@ -35,6 +35,15 @@ done
 { printf '\xef\xbb\xbf'; cat "$out/lf/curve.csv"; } > "$out/bom.csv"
 test "$(mandel-dip fit "$out/bom.csv")" = "$(mandel-dip fit "$out/lf/curve.csv")"
 
+# the fit does not depend on the delays' unit: every delay times 2^500
+# gives the same V and exactly 2^500 times sigma_tau_um
+python3 -c 'import sys; head, *rows = open(sys.argv[1]).read().splitlines(); print(head); [print(repr(float(d) * 2.0 ** 500), rest, sep=",") for d, _, rest in (row.partition(",") for row in rows)]' \
+  "$out/lf/curve.csv" > "$out/scaled.csv"
+mandel-dip fit "$out/lf/curve.csv" > "$out/fit.json"
+mandel-dip fit "$out/scaled.csv" > "$out/scaled.json"
+python3 -c 'import json, sys; a, b = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(not (b["V"] == a["V"] and b["sigma_tau_um"] == a["sigma_tau_um"] * 2.0 ** 500))' \
+  "$out/fit.json" "$out/scaled.json"
+
 # MC streams seeded from precomputed SeedSequence rows repeat bit for bit
 mandel-dip scan configs/lab_fivefold.json --mode mc --seed 20 --out "$out/mc1"
 mandel-dip scan configs/lab_fivefold.json --mode mc --seed 20 --out "$out/mc2"

@@ -8,7 +8,8 @@ squares by variable projection: for a fixed sigma the model is linear in
 is searched, over a bounded range [half the smallest delay step, grid
 span]: on a fixed grid of widths, then refined one width at a time. The
 search costs the same on every curve and cannot run off to an unbounded
-width.
+width, and its result does not depend on the units of the delays or of
+the error bars.
 """
 
 from __future__ import annotations
@@ -38,12 +39,15 @@ class DipFit:
     clamped: bool = False  # fitted V fell outside [0, 1] and was clamped
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("S must be positive")
+        # finite, so that `to_dict` prints valid JSON
+        if not 0.0 < self.s < math.inf:
+            raise ValueError("S must be positive and finite")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if self.sigma_tau_um <= 0:
-            raise ValueError("sigma_tau must be positive")
+        if not 0.0 < self.sigma_tau_um < math.inf:
+            raise ValueError("sigma_tau must be positive and finite")
+        if not 0.0 <= self.residual_norm < math.inf:
+            raise ValueError("residual must be finite and non-negative")
 
     @property
     def fwhm_um(self) -> float:
@@ -130,6 +134,16 @@ def _width_profile(tau2, y, w2):
     return profile, at
 
 
+def _residual(r, w2, err_unit: int) -> float:
+    """Root of the weighted squared misfit r, with weights w2 taken in
+    units of 2^err_unit, in the errors' own unit; inf, which `DipFit`
+    refuses, where it lies beyond the float range."""
+    try:
+        return math.ldexp(math.sqrt(float((r ** 2).dot(w2))), -err_unit)
+    except OverflowError:
+        return math.inf
+
+
 def fit_dip(curve: DipCurve) -> DipFit:
     """Weighted least-squares fit of the Gaussian dip model by variable
     projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
@@ -143,6 +157,11 @@ def fit_dip(curve: DipCurve) -> DipFit:
     dc/dsigma that evaluates one width per step. `iterations` counts
     those refinements. The residual is taken at the reported parameters,
     with the Gaussian of the accepted width, which the search computed.
+    The delays are fitted in a power-of-two unit of the grid span and the
+    error bars in one of the smallest error, so the fit does not depend
+    on the units of either: delays scaled by 2^k give sigma scaled by
+    exactly 2^k and the same S, V and `iterations`, and errors scaled by
+    2^m give the same S, V and sigma and the residual scaled by 2^-m.
     Raises RuntimeError when the minimum sits at either end of the
     width range, the 2x2 system is singular, or S comes out at most
     1e-12 of the curve's largest rate (a vanishing or negative
@@ -157,7 +176,12 @@ def fit_dip(curve: DipCurve) -> DipFit:
     err = np.asarray(curve.errors_hz, dtype=float)
     if len(tau) < MIN_FIT_POINTS:
         raise ValueError(f"fit requires at least {MIN_FIT_POINTS} points")
-    w = 1.0 / err if err.min() > 0.0 else np.ones_like(y)
+    # weights in a power-of-two unit of the smallest error bar (0 without
+    # them), so that none squares out of the float range; exact, as is
+    # the residual's way back
+    err_min = float(err.min())
+    err_unit = math.frexp(err_min)[1]
+    w = 1.0 / np.ldexp(err, -err_unit) if err_min > 0.0 else np.ones_like(y)
     w2 = w * w
 
     y_max = float(y.max())
@@ -168,16 +192,19 @@ def fit_dip(curve: DipCurve) -> DipFit:
         sigma0 = (float(tau.max()) - float(tau.min())) / _FWHM_PER_SIGMA
         return DipFit(s=max(s0, 1e-30), visibility=0.0,
                       sigma_tau_um=max(sigma0, 1e-30),
-                      residual_norm=math.sqrt(float(((y - s0) ** 2).dot(w2))),
+                      residual_norm=_residual(y - s0, w2, err_unit),
                       iterations=0)
 
     steps = np.diff(np.sort(tau))
     steps = steps[steps > 0.0]  # not np.unique, which imports numpy.ma
     if steps.size == 0:
         raise ValueError("fit requires at least two distinct delays")
-    tau2 = tau ** 2
-    profile, at = _width_profile(tau2, y, w2)
-    lo_width, hi_width = 0.5 * float(steps.min()), float(steps.sum())
+    # delays in a power-of-two unit of the grid span, so that neither
+    # tau^2 nor sigma^3 leaves the float range; widths go back by ldexp
+    lo_um, span = 0.5 * float(steps.min()), float(steps.sum())
+    unit = math.frexp(span)[1]
+    profile, at = _width_profile(np.ldexp(tau, -unit) ** 2, y, w2)
+    lo_width, hi_width = math.ldexp(lo_um, -unit), math.ldexp(span, -unit)
     widths = lo_width * (hi_width / lo_width) ** _UNIT_STEPS
     a_grid, b_grid, det_grid, cost, dcost, g_grid = profile(widths)
     i = int(cost.argmin())
@@ -185,12 +212,13 @@ def fit_dip(curve: DipCurve) -> DipFit:
     if lo < 0 or hi >= _N_WIDTHS:
         raise RuntimeError(
             f"dip fit did not converge: the width hit the edge of "
-            f"[{lo_width:.6g}, {hi_width:.6g}] um (half the grid step, "
+            f"[{lo_um:.6g}, {span:.6g}] um (half the grid step, "
             f"grid span)")
     x0, f0, x1, f1 = widths[lo], dcost[lo], widths[hi], dcost[hi]
     if not f0 <= 0.0 <= f1:
         raise RuntimeError("dip fit did not converge: no bracketed minimum "
-                           f"of the width profile near {widths[i]:.6g} um")
+                           "of the width profile near "
+                           f"{math.ldexp(widths[i], unit):.6g} um")
 
     # regula falsi on dc/dsigma with Anderson-Bjorck steps, keeping the
     # bracket f0 < 0 < f1 around the grid minimum
@@ -221,14 +249,15 @@ def fit_dip(curve: DipCurve) -> DipFit:
                 f0 *= m if m > 0.0 else 0.5
             x1, f1, side = x, f, 1
 
-    if det <= 0.0:
+    # written so that a NaN fails them too
+    if not det > 0.0:
         raise RuntimeError("dip fit did not converge: singular 2x2 system "
-                           f"at width {x:.6g} um")
-    if a <= 1e-12 * scale:
+                           f"at width {math.ldexp(x, unit):.6g} um")
+    if not a > 1e-12 * scale:
         raise RuntimeError(f"dip fit did not converge: S = {a:.6g} is at "
                            f"most 1e-12 of the peak rate {scale:.6g}")
 
-    s, v, sigma = a, b / a, float(x)
+    s, v, sigma = a, b / a, math.ldexp(x, unit)
     clamped = v < 0.0 or v > 1.0
     if clamped:
         warnings.warn(f"fitted visibility {v:.4f} clamped into [0, 1]",
@@ -236,7 +265,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
         v = min(max(v, 0.0), 1.0)
     r = s * (1.0 - v * g) - y  # the residual of the reported parameters
     return DipFit(s=s, visibility=v, sigma_tau_um=sigma,
-                  residual_norm=math.sqrt(float((r ** 2).dot(w2))),
+                  residual_norm=_residual(r, w2, err_unit),
                   iterations=iterations, clamped=clamped)
 
 

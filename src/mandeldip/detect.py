@@ -23,8 +23,7 @@ ALL_ROLES = (GE_1310, INGAAS_1310, INGAAS_1550_1, INGAAS_1550_2)
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Quantum efficiency and per-gate dark-count probability; the key
-    of an `ExperimentConfig.detectors` entry is the detector's role."""
+    """Quantum efficiency and per-gate dark-count probability."""
 
     eta: float
     dark_prob: float = 0.0

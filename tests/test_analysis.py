@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,14 @@ def test_too_few_points_rejected():
     ("s", 0.0, "S must be positive"),
     ("visibility", 1.5, "visibility must lie in"),
     ("sigma_tau_um", -1.0, "sigma_tau must be positive"),
+    # non-finite values would print as NaN or Infinity, not JSON
+    ("s", math.nan, "S must be positive and finite"),
+    ("s", math.inf, "S must be positive and finite"),
+    ("sigma_tau_um", math.nan, "sigma_tau must be positive and finite"),
+    ("sigma_tau_um", math.inf, "sigma_tau must be positive and finite"),
+    ("residual_norm", math.nan, "residual must be finite and non-negative"),
+    ("residual_norm", math.inf, "residual must be finite and non-negative"),
+    ("residual_norm", -1.0, "residual must be finite and non-negative"),
 ])
 def test_dip_fit_refuses_out_of_range_parameters(field, value, message):
     fields = dict(s=100.0, visibility=0.5, sigma_tau_um=30.0,
@@ -413,3 +423,90 @@ def test_refinement_scales_the_upper_end_kept_twice(monkeypatch):
         else:
             lo = a
     assert fit.sigma_tau_um == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+
+
+def unit_curves():
+    """Curves the unit tests rescale: a noiseless and a clamped dip
+    (uniform weights), resolved binomial dips of every benchmark size
+    (error bars) and a sparse lab_fivefold MC curve (zero-count points,
+    so uniform weights)."""
+    rng = np.random.default_rng(31)
+    sigma = 60.0
+    half = np.linspace(0.5 * sigma, 5 * sigma, 20)
+    curves = [synthetic_curve(160.0, 0.28, 142.0 / FWHM_PER_SIGMA),
+              synthetic_curve(100.0, 1.1, sigma,
+                              delays=np.concatenate([-half[::-1], half]))]
+    curves += [binomial_curve(rng, n) for n in (31, 61, 101, 201)]
+    return curves + [lab_mc_curves(14)[0]]
+
+
+def quiet_fit(curve):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # V may be clamped
+        warnings.simplefilter("error", RuntimeWarning)
+        return fit_dip(curve)
+
+
+@pytest.mark.parametrize("k", [40, -40, 500, -500, 1000, -1000])
+def test_fit_does_not_depend_on_the_delay_unit(k):
+    for curve in unit_curves():
+        fit = quiet_fit(curve)
+        scaled = quiet_fit(replace(curve, delays_um=tuple(
+            math.ldexp(d, k) for d in curve.delays_um)))
+        assert (scaled.s, scaled.visibility, scaled.iterations,
+                scaled.residual_norm, scaled.clamped) == (
+            fit.s, fit.visibility, fit.iterations, fit.residual_norm,
+            fit.clamped)
+        assert scaled.sigma_tau_um == math.ldexp(fit.sigma_tau_um, k)
+    # a fit that fails names its width range in the delays' own unit
+    raw, _ = lab_mc_curves(6)
+    steps = np.diff(raw.delays_um)
+    scaled = replace(raw, delays_um=tuple(math.ldexp(d, k)
+                                          for d in raw.delays_um))
+    edges = (f"[{math.ldexp(0.5 * steps.min(), k):.6g}, "
+             f"{math.ldexp(steps.sum(), k):.6g}] um")
+    with pytest.raises(RuntimeError, match=re.escape(edges)):
+        quiet_fit(scaled)
+
+
+@pytest.mark.parametrize("m", [40, -40, 500, -500])
+def test_fit_does_not_depend_on_the_error_unit(m):
+    # those with an error bar on every point, so that the fit weighs them
+    for curve in [c for c in unit_curves() if min(c.errors_hz) > 0.0]:
+        fit = quiet_fit(curve)
+        scaled = quiet_fit(replace(curve, errors_hz=tuple(
+            math.ldexp(e, m) for e in curve.errors_hz)))
+        assert (scaled.s, scaled.visibility, scaled.sigma_tau_um,
+                scaled.iterations) == (fit.s, fit.visibility,
+                                       fit.sigma_tau_um, fit.iterations)
+        assert scaled.residual_norm == math.ldexp(fit.residual_norm, -m)
+
+
+@pytest.mark.parametrize("scale, err", [
+    (1e150, 0.0), (1e-150, 0.0), (1e300, 0.0), (1e-300, 0.0),
+    (1.0, 1e-160), (1.0, 1e-200), (1.0, 1e200)])
+def test_fit_in_extreme_units_recovers_the_dip(scale, err):
+    # sigma^3, tau^2 or 1/err^2 of these leave the float range: the fit
+    # used to report a wrong dip as converged, NaNs or a false edge
+    tau = np.linspace(-300.0, 300.0, 31)
+    curve = DipCurve(delays_um=tuple(tau * scale),
+                     rates_hz=tuple(dip_model(tau, 100.0, 0.5, 60.0)),
+                     errors_hz=(err,) * tau.size)
+    fit = quiet_fit(curve)
+    assert fit.visibility == pytest.approx(0.5, rel=1e-12)
+    assert fit.sigma_tau_um / scale == pytest.approx(60.0, rel=1e-12)
+    assert fit.s == pytest.approx(100.0, rel=1e-12)
+
+
+def test_residual_beyond_the_float_range_is_refused():
+    # a 1 Hz misfit on error bars of 2^-1070 Hz weighs beyond the float
+    # range: no number the report could print, so the fit refuses it
+    tau = np.linspace(-300.0, 300.0, 31)
+    rates = dip_model(tau, 100.0, 0.5, 60.0)
+    rates[3] += 1.0
+    curve = DipCurve(delays_um=tuple(tau), rates_hz=tuple(rates),
+                     errors_hz=(math.ldexp(1.0, -1070),) * tau.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^residual must be finite"):
+            fit_dip(curve)

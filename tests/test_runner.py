@@ -170,6 +170,18 @@ def test_config_validation():
         make_config(collection_efficiency=0.0)
 
 
+@pytest.mark.parametrize("keys", [
+    (detect.GE_1310,),                          # roles missing
+    detect.ALL_ROLES[1:],                       # one role missing
+    detect.ALL_ROLES + ("bogus",),              # an extra role
+])
+def test_config_requires_exactly_the_detector_roles(keys):
+    detectors = {key: DetectorModel(eta=0.3) for key in keys}
+    with pytest.raises(ValueError, match="^detectors must be keyed by "
+                       "exactly the roles " + ", ".join(detect.ALL_ROLES)):
+        make_config(detectors=detectors)
+
+
 @pytest.mark.parametrize("field", ["pulse_rate_hz", "polarization_angle_rad"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_config_rejects_non_finite_rate_and_angle(field, bad):
