@@ -171,9 +171,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("keys", [
-    (detect.GE_1310,),                          # roles missing
-    detect.ALL_ROLES[1:],                       # one role missing
-    detect.ALL_ROLES + ("bogus",),              # an extra role
+    detect.ALL_ROLES[1:],               # a role missing
+    detect.ALL_ROLES + ("bogus",),      # an extra role
 ])
 def test_config_requires_exactly_the_detector_roles(keys):
     detectors = {key: DetectorModel(eta=0.3) for key in keys}
