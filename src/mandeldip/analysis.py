@@ -44,8 +44,8 @@ class DipFit:
             raise ValueError("S must be positive and finite")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if not 0.0 < self.sigma_tau_um < math.inf:
-            raise ValueError("sigma_tau must be positive and finite")
+        if not 0.0 < self.fwhm_um < math.inf:
+            raise ValueError("sigma_tau must be positive, its FWHM finite")
         if not 0.0 <= self.residual_norm < math.inf:
             raise ValueError("residual must be finite and non-negative")
 
@@ -135,9 +135,9 @@ def _width_profile(tau2, y, w2):
 
 
 def _residual(r, w2, err_unit: int) -> float:
-    """Root of the weighted squared misfit r, with weights w2 taken in
-    units of 2^err_unit, in the errors' own unit; inf, which `DipFit`
-    refuses, where it lies beyond the float range."""
+    """Root of the weighted squared misfit r, whose weights w2 take the
+    errors in units of 2^err_unit, back in the errors' own unit; inf,
+    which `DipFit` refuses, where it lies beyond the float range."""
     try:
         return math.ldexp(math.sqrt(float((r ** 2).dot(w2))), -err_unit)
     except OverflowError:

@@ -108,8 +108,9 @@ def test_too_few_points_rejected():
     # non-finite values would print as NaN or Infinity, not JSON
     ("s", math.nan, "S must be positive and finite"),
     ("s", math.inf, "S must be positive and finite"),
-    ("sigma_tau_um", math.nan, "sigma_tau must be positive and finite"),
-    ("sigma_tau_um", math.inf, "sigma_tau must be positive and finite"),
+    ("sigma_tau_um", math.nan, "sigma_tau must be positive, its FWHM finite"),
+    ("sigma_tau_um", math.inf, "sigma_tau must be positive, its FWHM finite"),
+    ("sigma_tau_um", 1e308, "sigma_tau must be positive, its FWHM finite"),
     ("residual_norm", math.nan, "residual must be finite and non-negative"),
     ("residual_norm", math.inf, "residual must be finite and non-negative"),
     ("residual_norm", -1.0, "residual must be finite and non-negative"),
