@@ -44,6 +44,20 @@ mandel-dip fit "$out/scaled.csv" > "$out/scaled.json"
 python3 -c 'import json, sys; a, b = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(not (b["V"] == a["V"] and b["sigma_tau_um"] == a["sigma_tau_um"] * 2.0 ** 500))' \
   "$out/fit.json" "$out/scaled.json"
 
+# nor on the rates' unit: rates and errors times 2^-500 give the same V and
+# sigma_tau_um and exactly 2^-500 times S
+python3 -c 'import sys; head, *rows = open(sys.argv[1]).read().splitlines(); print(head); [print(d, *(repr(float(x) * 2.0 ** -500) for x in rest), sep=",") for d, *rest in (row.split(",") for row in rows)]' \
+  "$out/lf/curve.csv" > "$out/rates.csv"
+mandel-dip fit "$out/rates.csv" > "$out/rates.json"
+python3 -c 'import json, sys; a, b = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(not (b["V"] == a["V"] and b["sigma_tau_um"] == a["sigma_tau_um"] and b["S"] == a["S"] * 2.0 ** -500))' \
+  "$out/fit.json" "$out/rates.json"
+
+# a curve with no counts does not converge, and the fit still exits 0
+{ echo delay_um,rate_hz,err_hz; for d in -60 -30 0 30 60; do echo "$d,0,0"; done; } \
+  > "$out/zeros.csv"
+mandel-dip fit "$out/zeros.csv" > "$out/zeros.json"
+test "$(json_key "$out/zeros.json" converged)" = False
+
 # MC streams seeded from precomputed SeedSequence rows repeat bit for bit
 mandel-dip scan configs/lab_fivefold.json --mode mc --seed 20 --out "$out/mc1"
 mandel-dip scan configs/lab_fivefold.json --mode mc --seed 20 --out "$out/mc2"

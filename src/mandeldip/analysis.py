@@ -8,8 +8,8 @@ squares by variable projection: for a fixed sigma the model is linear in
 is searched, over a bounded range [half the smallest delay step, grid
 span]: on a fixed grid of widths, then refined one width at a time. The
 search costs the same on every curve and cannot run off to an unbounded
-width, and its result does not depend on the units of the delays or of
-the error bars.
+width, and its result does not depend on the units of the delays, the
+rates or the error bars.
 """
 
 from __future__ import annotations
@@ -134,14 +134,18 @@ def _width_profile(tau2, y, w2):
     return profile, at
 
 
-def _residual(r, w2, err_unit: int) -> float:
-    """Root of the weighted squared misfit r, whose weights w2 take the
-    errors in units of 2^err_unit, back in the errors' own unit; inf,
-    which `DipFit` refuses, where it lies beyond the float range."""
+def _ldexp(x: float, exp: int) -> float:
+    """x * 2^exp; +-inf, which `DipFit` refuses, beyond the float range."""
     try:
-        return math.ldexp(math.sqrt(float((r ** 2).dot(w2))), -err_unit)
+        return math.ldexp(x, exp)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, x)
+
+
+def _residual(r, w2, unit: int) -> float:
+    """Root of the weighted squared misfit r times 2^unit, which takes it
+    back from the fit's units of rates and errors to their own."""
+    return _ldexp(math.sqrt(float((r ** 2).dot(w2))), unit)
 
 
 def fit_dip(curve: DipCurve) -> DipFit:
@@ -157,10 +161,12 @@ def fit_dip(curve: DipCurve) -> DipFit:
     dc/dsigma that evaluates one width per step. `iterations` counts
     those refinements. The residual is taken at the reported parameters,
     with the Gaussian of the accepted width, which the search computed.
-    The delays are fitted in a power-of-two unit of the grid span and the
-    error bars in one of the smallest error, so the fit does not depend
-    on the units of either: delays scaled by 2^k give sigma scaled by
-    exactly 2^k and the same S, V and `iterations`, and errors scaled by
+    The delays are fitted in a power-of-two unit of the grid span, the
+    rates in one of the largest rate and the error bars in one of the
+    smallest error, so the fit does not depend on the units of any:
+    delays scaled by 2^k give sigma scaled by exactly 2^k and the same
+    S, V and `iterations`, rates scaled by 2^m give S and the residual
+    scaled by exactly 2^m and the same V and sigma, and errors scaled by
     2^m give the same S, V and sigma and the residual scaled by 2^-m.
     Raises RuntimeError when the minimum sits at either end of the
     width range, the 2x2 system is singular, or S comes out at most
@@ -169,7 +175,8 @@ def fit_dip(curve: DipCurve) -> DipFit:
     across the grid minimum or the refinement does not settle. A fitted
     V outside [0, 1] is clamped into it with a warning and reported as
     `clamped`. A flat curve pins V at 0 with a warning instead of
-    fitting a degenerate width.
+    fitting a degenerate width, and raises RuntimeError when every rate
+    is 0.
     """
     tau = np.asarray(curve.delays_um, dtype=float)
     y = np.asarray(curve.rates_hz, dtype=float)
@@ -184,27 +191,42 @@ def fit_dip(curve: DipCurve) -> DipFit:
     w = 1.0 / np.ldexp(err, -err_unit) if err_min > 0.0 else np.ones_like(y)
     w2 = w * w
 
-    y_max = float(y.max())
-    scale = max(abs(y_max), 1e-30)
-    if y_max - float(y.min()) <= 1e-12 * scale:
-        warnings.warn("flat curve: visibility pinned at 0", stacklevel=2)
-        s0 = float(y.mean())
-        sigma0 = (float(tau.max()) - float(tau.min())) / _FWHM_PER_SIGMA
-        return DipFit(s=max(s0, 1e-30), visibility=0.0,
-                      sigma_tau_um=max(sigma0, 1e-30),
-                      residual_norm=_residual(y - s0, w2, err_unit),
-                      iterations=0)
-
-    steps = np.diff(np.sort(tau))
+    # the steps and the span in a power-of-two unit of the largest
+    # delay, so that neither leaves the float range; exact
+    ends = np.sort(tau)
+    tau_unit = math.frexp(max(-float(ends[0]), float(ends[-1])))[1]
+    ends = np.ldexp(ends, -tau_unit)
+    steps = np.diff(ends)
     steps = steps[steps > 0.0]  # not np.unique, which imports numpy.ma
     if steps.size == 0:
         raise ValueError("fit requires at least two distinct delays")
+
+    # rates in a power-of-two unit of the largest rate, so that no
+    # product of them leaves the float range; exact, as is S's way back
+    y_max = float(y.max())
+    rate_unit = math.frexp(y_max)[1]
+    y = np.ldexp(y, -rate_unit)
+    peak = math.ldexp(y_max, -rate_unit)
+    if peak - float(y.min()) <= 1e-12 * peak:
+        s0 = float(y.mean())
+        if not s0 > 0.0:
+            raise RuntimeError("dip fit did not converge: every rate is 0")
+        warnings.warn("flat curve: visibility pinned at 0", stacklevel=2)
+        sigma0 = float(ends[-1] - ends[0]) / _FWHM_PER_SIGMA
+        return DipFit(s=_ldexp(s0, rate_unit), visibility=0.0,
+                      sigma_tau_um=_ldexp(sigma0, tau_unit),
+                      residual_norm=_residual(y - s0, w2,
+                                              rate_unit - err_unit),
+                      iterations=0)
+
     # delays in a power-of-two unit of the grid span, so that neither
     # tau^2 nor sigma^3 leaves the float range; widths go back by ldexp
-    lo_um, span = 0.5 * float(steps.min()), float(steps.sum())
-    unit = math.frexp(span)[1]
+    lo_step, span = 0.5 * float(steps.min()), float(steps.sum())
+    span_unit = math.frexp(span)[1]
+    unit = tau_unit + span_unit
     profile, at = _width_profile(np.ldexp(tau, -unit) ** 2, y, w2)
-    lo_width, hi_width = math.ldexp(lo_um, -unit), math.ldexp(span, -unit)
+    lo_width = math.ldexp(lo_step, -span_unit)
+    hi_width = math.ldexp(span, -span_unit)
     widths = lo_width * (hi_width / lo_width) ** _UNIT_STEPS
     a_grid, b_grid, det_grid, cost, dcost, g_grid = profile(widths)
     i = int(cost.argmin())
@@ -212,13 +234,13 @@ def fit_dip(curve: DipCurve) -> DipFit:
     if lo < 0 or hi >= _N_WIDTHS:
         raise RuntimeError(
             f"dip fit did not converge: the width hit the edge of "
-            f"[{lo_um:.6g}, {span:.6g}] um (half the grid step, "
-            f"grid span)")
+            f"[{_ldexp(lo_step, tau_unit):.6g}, {_ldexp(span, tau_unit):.6g}]"
+            f" um (half the grid step, grid span)")
     x0, f0, x1, f1 = widths[lo], dcost[lo], widths[hi], dcost[hi]
     if not f0 <= 0.0 <= f1:
         raise RuntimeError("dip fit did not converge: no bracketed minimum "
                            "of the width profile near "
-                           f"{math.ldexp(widths[i], unit):.6g} um")
+                           f"{_ldexp(widths[i], unit):.6g} um")
 
     # regula falsi on dc/dsigma with Anderson-Bjorck steps, keeping the
     # bracket f0 < 0 < f1 around the grid minimum
@@ -252,20 +274,22 @@ def fit_dip(curve: DipCurve) -> DipFit:
     # written so that a NaN fails them too
     if not det > 0.0:
         raise RuntimeError("dip fit did not converge: singular 2x2 system "
-                           f"at width {math.ldexp(x, unit):.6g} um")
-    if not a > 1e-12 * scale:
-        raise RuntimeError(f"dip fit did not converge: S = {a:.6g} is at "
-                           f"most 1e-12 of the peak rate {scale:.6g}")
+                           f"at width {_ldexp(x, unit):.6g} um")
+    if not a > 1e-12 * peak:
+        raise RuntimeError(
+            f"dip fit did not converge: S = {_ldexp(a, rate_unit):.6g} is "
+            f"at most 1e-12 of the peak rate {y_max:.6g}")
 
-    s, v, sigma = a, b / a, math.ldexp(x, unit)
+    v = b / a
     clamped = v < 0.0 or v > 1.0
     if clamped:
         warnings.warn(f"fitted visibility {v:.4f} clamped into [0, 1]",
                       stacklevel=2)
         v = min(max(v, 0.0), 1.0)
-    r = s * (1.0 - v * g) - y  # the residual of the reported parameters
-    return DipFit(s=s, visibility=v, sigma_tau_um=sigma,
-                  residual_norm=_residual(r, w2, err_unit),
+    r = a * (1.0 - v * g) - y  # the residual of the reported parameters
+    return DipFit(s=_ldexp(a, rate_unit), visibility=v,
+                  sigma_tau_um=_ldexp(x, unit),
+                  residual_norm=_residual(r, w2, rate_unit - err_unit),
                   iterations=iterations, clamped=clamped)
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -32,15 +30,3 @@ def pair_number_distribution(params: SourceParams, n: int) -> float:
         raise ValueError("pair number must be non-negative")
     lam = params.lam
     return (1.0 - lam) * lam ** n
-
-
-def sample_pair_count_arrays(s1: SourceParams, s2: SourceParams, size: int,
-                             rng: np.random.Generator):
-    """Per-pulse pair counts of `size` pulses; geometric in each source."""
-    def draw(lam):
-        if lam == 0.0:
-            return np.zeros(size, dtype=np.int64)
-        # numpy's geometric counts trials up to the first success.
-        return rng.geometric(1.0 - lam, size=size).astype(np.int64) - 1
-
-    return draw(s1.lam), draw(s2.lam)

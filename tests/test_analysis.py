@@ -483,12 +483,26 @@ def test_fit_does_not_depend_on_the_error_unit(m):
         assert scaled.residual_norm == math.ldexp(fit.residual_norm, -m)
 
 
+@pytest.mark.parametrize("m", [40, -40, 500, -500])
+def test_fit_does_not_depend_on_the_rate_unit(m):
+    for curve in unit_curves():
+        fit = quiet_fit(curve)
+        scaled = quiet_fit(replace(curve, rates_hz=tuple(
+            math.ldexp(r, m) for r in curve.rates_hz)))
+        assert (scaled.visibility, scaled.sigma_tau_um, scaled.iterations,
+                scaled.clamped) == (fit.visibility, fit.sigma_tau_um,
+                                    fit.iterations, fit.clamped)
+        assert scaled.s == math.ldexp(fit.s, m)
+        assert scaled.residual_norm == math.ldexp(fit.residual_norm, m)
+
+
 @pytest.mark.parametrize("scale, err", [
     (1e150, 0.0), (1e-150, 0.0), (1e300, 0.0), (1e-300, 0.0),
-    (1.0, 1e-160), (1.0, 1e-200), (1.0, 1e200)])
+    (1.0, 1e-160), (1.0, 1e-200), (1.0, 1e200), (2.0 ** 1015, 0.0)])
 def test_fit_in_extreme_units_recovers_the_dip(scale, err):
-    # sigma^3, tau^2 or 1/err^2 of these leave the float range: the fit
-    # used to report a wrong dip as converged, NaNs or a false edge
+    # sigma^3, tau^2 or 1/err^2 of these leave the float range, and at
+    # 2^1015 the grid span does: the fit used to report a wrong dip as
+    # converged, NaNs or a false edge
     tau = np.linspace(-300.0, 300.0, 31)
     curve = DipCurve(delays_um=tuple(tau * scale),
                      rates_hz=tuple(dip_model(tau, 100.0, 0.5, 60.0)),
@@ -497,6 +511,29 @@ def test_fit_in_extreme_units_recovers_the_dip(scale, err):
     assert fit.visibility == pytest.approx(0.5, rel=1e-12)
     assert fit.sigma_tau_um / scale == pytest.approx(60.0, rel=1e-12)
     assert fit.s == pytest.approx(100.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160, 1e300])
+def test_fit_with_rates_in_extreme_units_recovers_the_dip(scale):
+    # the dip's depth falls under the flat-curve test's old 1e-30 floor,
+    # or products of the rates leave the float range: the fit used to
+    # report S = 1e-30 and V = 0 as converged, or no bracketed minimum
+    tau = np.linspace(-300.0, 300.0, 31)
+    curve = DipCurve(delays_um=tuple(tau),
+                     rates_hz=tuple(dip_model(tau, 100.0, 0.5, 60.0) * scale),
+                     errors_hz=(0.0,) * tau.size)
+    fit = quiet_fit(curve)
+    assert fit.visibility == pytest.approx(0.5, rel=1e-12)
+    assert fit.sigma_tau_um == pytest.approx(60.0, rel=1e-12)
+    assert fit.s / scale == pytest.approx(100.0, rel=1e-12)
+
+
+def test_curve_without_counts_does_not_converge():
+    # a flat curve at 0 Hz has no baseline to pin V against
+    curve = DipCurve(delays_um=tuple(np.linspace(-300.0, 300.0, 31)),
+                     rates_hz=(0.0,) * 31, errors_hz=(0.0,) * 31)
+    with pytest.raises(RuntimeError, match="every rate is 0"):
+        fit_dip(curve)
 
 
 def test_residual_beyond_the_float_range_is_refused():

@@ -159,6 +159,20 @@ def test_scan_writes_reports_when_fit_raises(tmp_path, monkeypatch):
     assert (out_dir / "manifest.json").is_file()
 
 
+def test_scan_without_counts_reports_no_convergence(tmp_path):
+    # 1000 pulses per point of the paper regime count nothing at seed 3;
+    # a curve of zeros has no baseline, so neither fit converges
+    data = json.loads((CONFIG_DIR / "lab_fivefold.json").read_text())
+    data["mc"] = {"pulses_per_point": 1000}
+    out = tmp_path / "out"
+    assert cli.main(["scan", str(write_config(tmp_path, data)), "--mode",
+                     "mc", "--seed", "3", "--out", str(out)]) == 0
+    assert set(cli.read_curve_csv(out / "curve.csv").rates_hz) == {0.0}
+    report = json.loads((out / "fit.json").read_text())
+    assert report["raw"] == report["net"] == {
+        "converged": False, "error": "dip fit did not converge: every rate is 0"}
+
+
 def test_failed_rescan_leaves_no_old_manifest(tmp_path, capsys):
     cfg_path = CONFIG_DIR / "ideal_threefold.json"
     out_dir = tmp_path / "out"
@@ -572,6 +586,14 @@ def test_fit_constant_rates_gives_zero_visibility(tmp_path, capsys):
     assert out["V"] == 0.0
 
 
+def test_fit_of_a_curve_without_counts_does_not_converge(tmp_path, capsys):
+    csv_path = tmp_path / "zeros.csv"
+    rows = "\n".join(f"{d},0,0" for d in range(-60, 61, 20))
+    csv_path.write_text("delay_um,rate_hz,err_hz\n" + rows + "\n")
+    assert cli.main(["fit", str(csv_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is False
+
+
 def test_fit_rejects_bad_header(tmp_path, capsys):
     csv_path = tmp_path / "bad.csv"
     csv_path.write_text("a,b,c\n1,2,3\n")
@@ -649,6 +671,8 @@ def test_fit_rejects_malformed_rows(tmp_path, capsys, bad_row, message):
     pytest.param("delay_um,rate_hz,err_hz\n"
                  + "".join(f"0,{r},1\n" for r in (90, 95, 100, 105, 110)),
                  "at least two distinct delays", id="one-delay"),
+    pytest.param("delay_um,rate_hz,err_hz\n" + "0,100,1\n" * 5,
+                 "at least two distinct delays", id="one-delay-flat"),
 ])
 def test_fit_rejects_a_csv_without_a_fittable_curve(tmp_path, capsys, text,
                                                     message):

@@ -5,8 +5,8 @@ import pytest
 import sympy
 from sympy import I, Rational, factorial, sqrt
 
-from mandeldip import fock
-from mandeldip.fock import Mode, ModeRegistry, PureState
+import fock_reference as fock
+from fock_reference import Mode, ModeRegistry, PureState
 
 A = Mode("a", "matched", "H")
 B = Mode("b", "matched", "H")

