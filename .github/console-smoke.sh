@@ -5,6 +5,7 @@ set -euo pipefail
 
 umask 022
 out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
 config=configs/ideal_threefold.json
 json_key() {  # json_key FILE KEY: print one top-level value of a JSON file
   python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))[sys.argv[2]])' "$1" "$2"

@@ -131,10 +131,6 @@ def parse_config(data: dict, seed_override: Optional[int] = None
                     filters["signal_fwhm_nm"])
     herald = _build("filters", FilterSpec, filters["herald_nm"],
                     filters["herald_fwhm_nm"])
-    # energy conservation fixes the pump centre: 1/pump = 1/signal + 1/herald
-    pump = _build("filters", FilterSpec,
-                  1.0 / (1.0 / signal.center_nm + 1.0 / herald.center_nm),
-                  filters["pump_fwhm_nm"])
 
     det_entries = options.pop("detectors")
     if len(det_entries) != len(ALL_ROLES):
@@ -166,8 +162,9 @@ def parse_config(data: dict, seed_override: Optional[int] = None
 
     return _build("config", ExperimentConfig,
                   source1=s1, source2=s2,
-                  signal_filter=signal, herald_filter=herald, pump_filter=pump,
-                  detectors=detectors, scheme=scheme, delays_um=grid, **options)
+                  signal_filter=signal, herald_filter=herald,
+                  pump_fwhm_nm=filters["pump_fwhm_nm"], detectors=detectors,
+                  scheme=scheme, delays_um=grid, **options)
 
 
 def _atomic_write(path: Path, text: str) -> None:

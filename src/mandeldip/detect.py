@@ -4,8 +4,10 @@ Detectors are click/no-click: with n photons arriving, the click
 probability is 1 - (1-eta)^n * (1-dark), which reduces to 2*eta - eta^2
 for two photons and no dark counts. Gating is modeled logically: a
 coincidence scheme names the detectors that must all click on the same
-laser-clock gate. A detector is known by its role (`ALL_ROLES`), the key
-of its entry in an experiment's `detectors` mapping.
+laser-clock gate. A detector is known by its role, the key of its entry
+in an experiment's `detectors` mapping. `ALL_ROLES` is in the engine's
+port order, which its click weights and accidental floor rely on:
+output c, output d, herald 1 (source 1's twin), herald 2.
 """
 
 from __future__ import annotations

@@ -42,23 +42,16 @@ def coherence_length(filt: FilterSpec) -> float:
     return _GAUSSIAN_TB_FACTOR * lam_um ** 2 / dlam_um
 
 
-def heralded_bandwidth(signal_filter: FilterSpec, herald_filter: FilterSpec,
-                       pump: FilterSpec) -> FilterSpec:
+def heralded_bandwidth(signal_filter: FilterSpec,
+                       herald_filter: FilterSpec) -> FilterSpec:
     """Effective signal-wavelength filter after heralding on the twin.
 
-    Energy conservation maps the herald filter onto the signal wavelength
-    with equal frequency width, dl_sig = dl_her * (l_sig / l_her)^2; the
-    mapped filter then combines with the physical signal filter as a
-    product of Gaussians (inverse-variance sum in frequency). The pump
-    center must satisfy 1/l_pump = 1/l_sig + 1/l_her within 1%.
+    Energy conservation, which also fixes the pump centre at
+    1/l_pump = 1/l_sig + 1/l_her, maps the herald filter onto the signal
+    wavelength with equal frequency width, dl_sig = dl_her * (l_sig /
+    l_her)^2; the mapped filter then combines with the physical signal
+    filter as a product of Gaussians (inverse-variance sum in frequency).
     """
-    inv_pump = 1.0 / pump.center_nm
-    inv_sum = 1.0 / signal_filter.center_nm + 1.0 / herald_filter.center_nm
-    if abs(inv_pump - inv_sum) / inv_pump > 0.01:
-        raise ValueError(
-            "wavelength triple violates energy conservation: "
-            f"1/{pump.center_nm} != 1/{signal_filter.center_nm} + "
-            f"1/{herald_filter.center_nm}")
     ratio = signal_filter.center_nm / herald_filter.center_nm
     mapped_fwhm = herald_filter.fwhm_nm * ratio ** 2
     combined = 1.0 / math.sqrt(signal_filter.fwhm_nm ** -2

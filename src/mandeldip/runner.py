@@ -56,14 +56,13 @@ import json
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from . import detect, fock, optics, pdc
-from .detect import (ALL_ROLES, CoincidenceScheme, DetectorModel, GE_1310,
-                     INGAAS_1310, INGAAS_1550_1, INGAAS_1550_2)
+from .detect import ALL_ROLES, CoincidenceScheme, DetectorModel
 from .optics import FilterSpec
 from .pdc import SourceParams
 
@@ -73,29 +72,19 @@ from .pdc import SourceParams
 MAX_PAIRS_LIMIT = 20
 
 
-def default_detectors() -> Dict[str, DetectorModel]:
-    """Detector park: Ge APD at 10%, InGaAs APDs at 30%."""
-    return {
-        GE_1310: DetectorModel(eta=0.10, dark_prob=5.3e-4),
-        INGAAS_1310: DetectorModel(eta=0.30, dark_prob=1e-4),
-        INGAAS_1550_1: DetectorModel(eta=0.30, dark_prob=1e-4),
-        INGAAS_1550_2: DetectorModel(eta=0.30, dark_prob=1e-4),
-    }
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one delay-scan experiment. The field
-    defaults are also those of the JSON config keys (`cli.parse_config`)."""
+    """Complete description of one delay-scan experiment. A field with a
+    default is a config key that may be left out (`cli.parse_config`)."""
 
     source1: SourceParams
     source2: SourceParams
-    signal_filter: FilterSpec = FilterSpec(1310.0, 10.0)
-    herald_filter: FilterSpec = FilterSpec(1550.0, 10.0)
-    pump_filter: FilterSpec = FilterSpec(710.0, 4.5)
-    detectors: Mapping[str, DetectorModel] = field(default_factory=default_detectors)
-    scheme: CoincidenceScheme = CoincidenceScheme("threefold")
-    delays_um: Tuple[float, ...] = ()
+    signal_filter: FilterSpec
+    herald_filter: FilterSpec
+    pump_fwhm_nm: float
+    detectors: Mapping[str, DetectorModel]
+    scheme: CoincidenceScheme
+    delays_um: Tuple[float, ...]
     pulses_per_point: int = 100_000
     seed: int = 0
     pulse_rate_hz: float = 7.6e7  # mode-locked Ti-Sapphire repetition rate
@@ -112,12 +101,14 @@ class ExperimentConfig:
             raise ValueError("delay grid must be non-empty")
         if any(b <= a for a, b in zip(self.delays_um, self.delays_um[1:])):
             raise ValueError("delay grid must be strictly increasing")
-        # the MC's binomial draw takes the pulse count as an int64
         if set(self.detectors) != set(ALL_ROLES):
             raise ValueError("detectors must be keyed by exactly the roles "
                              + ", ".join(ALL_ROLES))
+        # the MC's binomial draw takes the pulse count as an int64
         if not 1 <= self.pulses_per_point <= 2 ** 63 - 1:
             raise ValueError("pulses_per_point must lie in [1, 2**63 - 1]")
+        if not 0.0 < self.pump_fwhm_nm < math.inf:
+            raise ValueError("pump_fwhm_nm must be positive and finite")
         if not 0.0 < self.collection_efficiency <= 1.0:
             raise ValueError("collection_efficiency must lie in (0, 1]")
         if not 1 <= self.max_pairs <= MAX_PAIRS_LIMIT:
@@ -147,8 +138,7 @@ class ExperimentConfig:
         """
         if self.scheme.kind == "fivefold":
             eff = optics.heralded_bandwidth(self.signal_filter,
-                                            self.herald_filter,
-                                            self.pump_filter)
+                                            self.herald_filter)
             return optics.coherence_length(eff)
         return optics.coherence_length(self.signal_filter)
 

@@ -14,6 +14,7 @@ from mandeldip.runner import ExperimentConfig
 
 import fock_reference as fock
 from fock_reference import Mode, PureState, sample_pair_count_arrays
+from lab_setup import lab_setup
 
 P04 = SourceParams(0.04)
 FAR = 1e5
@@ -23,7 +24,7 @@ def config(scheme="threefold", *, P=0.04, delays, **kw):
     s = SourceParams(P)
     return ExperimentConfig(source1=s, source2=s,
                             scheme=CoincidenceScheme(scheme),
-                            delays_um=tuple(delays), **kw)
+                            delays_um=tuple(delays), **lab_setup(), **kw)
 
 
 def report(num, label, value):
@@ -74,8 +75,7 @@ def test_04_dip_geometry():
 
 def test_05_heralded_bandwidth_and_wider_fivefold_dip():
     wide = FilterSpec(1310, 1e9)
-    eff = optics.heralded_bandwidth(wide, FilterSpec(1550, 10),
-                                    FilterSpec(710, 4.5))
+    eff = optics.heralded_bandwidth(wide, FilterSpec(1550, 10))
     assert eff.fwhm_nm == pytest.approx(7.1, abs=0.2)
     fit3 = analysis.fit_dip(runner.dip_curve_analytic(
         config(delays=np.linspace(-300, 300, 31), small_eta=True)))

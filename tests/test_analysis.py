@@ -3,7 +3,6 @@ import math
 import re
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +13,9 @@ from mandeldip.detect import CoincidenceScheme
 from mandeldip.pdc import SourceParams
 from mandeldip.runner import DipCurve
 
+from lab_setup import LAB_CONFIG, lab_setup
+
 FWHM_PER_SIGMA = 2 * math.sqrt(2 * math.log(2))
-LAB_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "lab_fivefold.json"
 
 
 def synthetic_curve(s, v, sigma, delays=None, noise_rng=None, err=0.0):
@@ -218,7 +218,8 @@ def test_fit_on_seeded_mc_curve():
     cfg = runner.ExperimentConfig(source1=s, source2=s,
                                   scheme=CoincidenceScheme("threefold"),
                                   delays_um=tuple(np.linspace(-250, 250, 11)),
-                                  pulses_per_point=1_000_000, seed=17)
+                                  pulses_per_point=1_000_000, seed=17,
+                                  **lab_setup())
     fit_mc = analysis.fit_dip(runner.dip_curve_mc(cfg))
     fit_an = analysis.fit_dip(runner.dip_curve_analytic(cfg))
     # binomial variance of the rate at the analytic fit's parameters

@@ -411,6 +411,8 @@ FOUR_DETECTORS = [{"eta": 0.3}] * 4
                  id="scheme-fourfold"),
     pytest.param({"filters": {**base_config()["filters"], "signal_fwhm_nm": -1}},
                  "filters: filter bandwidth", id="signal_fwhm-negative"),
+    pytest.param({"filters": {**base_config()["filters"], "pump_fwhm_nm": 0}},
+                 "config: pump_fwhm_nm must be positive", id="pump_fwhm-zero"),
     pytest.param({"spectral_mismatch": 3}, "config: spectral_mismatch",
                  id="spectral_mismatch-3"),
     pytest.param({"sources": [{"P": 0.04}]},
@@ -607,8 +609,26 @@ def test_config_without_optional_keys_takes_the_dataclass_defaults():
     for detector in cfg["detectors"]:
         del detector["dark_prob"]
     parsed = cli.parse_config(cfg)
-    defaults = {f.name: f.default
-                for f in dataclasses.fields(runner.ExperimentConfig)}
+    fields = dataclasses.fields(runner.ExperimentConfig)
+    defaults = {f.name: f.default for f in fields
+                if f.default is not dataclasses.MISSING}
+    # the fields with a default are exactly the keys a config may leave out
+    _, optional = cli._SCHEMA["config"]
+    assert defaults.keys() == (optional.keys() - {"mc"}
+                               | cli._SCHEMA["mc"][1].keys())
+    # and every other field comes from a key that a config must set
+    must_set = {"source1": (None, "sources"), "source2": (None, "sources"),
+                "signal_filter": ("filters", "signal_fwhm_nm"),
+                "herald_filter": ("filters", "herald_fwhm_nm"),
+                "pump_fwhm_nm": ("filters", "pump_fwhm_nm"),
+                "detectors": (None, "detectors"), "scheme": (None, "scheme"),
+                "delays_um": (None, "delays")}
+    assert {f.name for f in fields} - defaults.keys() == must_set.keys()
+    for section, key in must_set.values():
+        missing = base_config()
+        del (missing[section] if section else missing)[key]
+        with pytest.raises(cli.ConfigError, match=f"missing key '{key}'"):
+            cli.parse_config(missing)
     for name in ("pulses_per_point", "seed", "pulse_rate_hz",
                  "collection_efficiency", "polarization_angle_rad",
                  "spectral_mismatch", "max_pairs", "small_eta"):

@@ -8,6 +8,8 @@ from mandeldip.detect import (CoincidenceScheme, DetectorModel, GE_1310,
 from mandeldip.pdc import SourceParams
 from mandeldip.runner import DipCurve
 
+from lab_setup import lab_setup
+
 
 def det(eta, dark=0.0):
     return DetectorModel(eta=eta, dark_prob=dark)
@@ -60,10 +62,10 @@ def coincidence_weight(pattern, kind):
     """Click product of `runner._click_weights` for the output pattern
     (c, d, herald1, herald2) under scheme `kind`."""
     vacuum = SourceParams(0.0)
+    setup = {**lab_setup(), "detectors": make_detectors()}
     cfg = runner.ExperimentConfig(source1=vacuum, source2=vacuum,
-                                  detectors=make_detectors(),
                                   scheme=CoincidenceScheme(kind),
-                                  delays_um=(0.0,))
+                                  delays_um=(0.0,), **setup)
     return math.prod(weights[n] for weights, n
                      in zip(runner._click_weights(cfg), pattern))
 

@@ -30,15 +30,14 @@ def test_coherence_length_1550():
 
 def test_heralded_bandwidth_mapping():
     wide = FilterSpec(1310, 1e9)
-    eff = optics.heralded_bandwidth(wide, FilterSpec(1550, 10), FilterSpec(710, 4.5))
+    eff = optics.heralded_bandwidth(wide, FilterSpec(1550, 10))
     assert eff.center_nm == 1310
     assert eff.fwhm_nm == pytest.approx(10 * (1310 / 1550) ** 2, rel=1e-9)
     assert eff.fwhm_nm == pytest.approx(7.14, abs=0.01)
 
 
 def test_heralded_bandwidth_quadrature_combination():
-    eff = optics.heralded_bandwidth(FilterSpec(1310, 10), FilterSpec(1550, 10),
-                                    FilterSpec(710, 4.5))
+    eff = optics.heralded_bandwidth(FilterSpec(1310, 10), FilterSpec(1550, 10))
     mapped = 10 * (1310 / 1550) ** 2
     oracle = 1 / math.sqrt(10 ** -2 + mapped ** -2)
     assert eff.fwhm_nm == pytest.approx(oracle, rel=1e-12)
@@ -48,16 +47,9 @@ def test_heralded_bandwidth_quadrature_combination():
 def test_heralded_bandwidth_never_widens():
     for her_fwhm in (2.0, 5.0, 10.0, 50.0):
         eff = optics.heralded_bandwidth(FilterSpec(1310, 10),
-                                        FilterSpec(1550, her_fwhm),
-                                        FilterSpec(710, 4.5))
+                                        FilterSpec(1550, her_fwhm))
         mapped = her_fwhm * (1310 / 1550) ** 2
         assert eff.fwhm_nm <= min(10.0, mapped) + 1e-12
-
-
-def test_heralded_bandwidth_energy_conservation_guard():
-    with pytest.raises(ValueError):
-        optics.heralded_bandwidth(FilterSpec(1310, 10), FilterSpec(1400, 10),
-                                  FilterSpec(710, 4.5))
 
 
 def test_overlap_perfect_alignment():

@@ -15,6 +15,7 @@ from mandeldip.runner import ExperimentConfig
 
 from fock_reference import (fock_pattern_distribution, pointwise_probs,
                             reference_pair_weights)
+from lab_setup import lab_setup
 
 P04 = SourceParams(0.04)
 FAR = 1e5  # um, far outside any dip
@@ -29,7 +30,7 @@ def make_config(scheme="threefold", *, P=0.04, delays=None, small_eta=True,
     return ExperimentConfig(source1=s, source2=s,
                             scheme=CoincidenceScheme(scheme),
                             delays_um=tuple(delays), small_eta=small_eta,
-                            max_pairs=max_pairs, **kw)
+                            max_pairs=max_pairs, **{**lab_setup(), **kw})
 
 
 def engine_visibility(cfg_center, cfg_far=None):
@@ -241,7 +242,8 @@ def test_digest_stability():
     cfg3 = make_config(delays=(0.0, 20.0))
     assert cfg1.digest() != cfg3.digest()
     as_array = ExperimentConfig(source1=P04, source2=P04, small_eta=True,
-                                delays_um=np.array([0.0, 10.0]))
+                                scheme=CoincidenceScheme("threefold"),
+                                delays_um=np.array([0.0, 10.0]), **lab_setup())
     assert as_array.digest() == cfg1.digest()
     # every field enters the digest
     detectors = dict(cfg1.detectors)
@@ -250,7 +252,7 @@ def test_digest_stability():
         source1=SourceParams(0.085), source2=SourceParams(0.085),
         signal_filter=optics.FilterSpec(1310.0, 12.0),
         herald_filter=optics.FilterSpec(1550.0, 12.0),
-        pump_filter=optics.FilterSpec(710.0, 5.0), detectors=detectors,
+        pump_fwhm_nm=5.0, detectors=detectors,
         scheme=CoincidenceScheme("fivefold"), delays_um=(0.0, 20.0),
         pulses_per_point=7, seed=1, pulse_rate_hz=8e7,
         collection_efficiency=0.5, polarization_angle_rad=0.1,
@@ -263,12 +265,14 @@ def test_digest_stability():
 
 def test_mc_zero_sources_dark_free_is_silent():
     zero = SourceParams(0.0)
+    lab = lab_setup()
     dets = {role: DetectorModel(eta=d.eta, dark_prob=0.0)
-            for role, d in runner.default_detectors().items()}
+            for role, d in lab["detectors"].items()}
     cfg = ExperimentConfig(source1=zero, source2=zero,
                            scheme=CoincidenceScheme("threefold"),
                            delays_um=(-50.0, 0.0, 50.0),
-                           detectors=dets, pulses_per_point=20_000, seed=3)
+                           pulses_per_point=20_000, seed=3,
+                           **{**lab, "detectors": dets})
     curve = runner.dip_curve_mc(cfg)
     assert all(r == 0.0 for r in curve.rates_hz)
 
@@ -364,7 +368,7 @@ def test_accidental_floor_only_with_darks():
     cfg = make_config(small_eta=False)
     assert runner.accidental_floor_hz(cfg) > 0.0
     dets = {role: DetectorModel(eta=d.eta, dark_prob=0.0)
-            for role, d in runner.default_detectors().items()}
+            for role, d in lab_setup()["detectors"].items()}
     clean = make_config(small_eta=False, detectors=dets)
     assert runner.accidental_floor_hz(clean) == 0.0
 
@@ -441,7 +445,7 @@ def test_perfect_post_selected_dip_stays_non_negative():
     # fivefold at two pairs post-selects the one interfering term, so the
     # centre rate is exactly zero; rounding must not push it below
     dets = {role: DetectorModel(eta=d.eta, dark_prob=0.0)
-            for role, d in runner.default_detectors().items()}
+            for role, d in lab_setup()["detectors"].items()}
     for p in (0.01, 0.04, 0.1, 0.2):
         for small_eta in (True, False):
             cfg = make_config("fivefold", P=p, delays=(0.0, FAR), max_pairs=2,
@@ -458,6 +462,7 @@ def sweep_configs(n=200, seed=16):
     truncations, each on a grid symmetric through 0 that reaches the
     far baseline."""
     rng = np.random.default_rng(seed)
+    lab = lab_setup()
     for i in range(n):
         dets = {role: DetectorModel(eta=float(rng.uniform(0.01, 1.0)),
                                     dark_prob=float(rng.uniform(0.0, 1e-3)))
@@ -466,7 +471,7 @@ def sweep_configs(n=200, seed=16):
         yield ExperimentConfig(
             source1=SourceParams(rng.uniform(0.0, 0.2)),
             source2=SourceParams(rng.uniform(0.0, 0.2)),
-            detectors=dets, scheme=CoincidenceScheme(
+            **{**lab, "detectors": dets}, scheme=CoincidenceScheme(
                 ("threefold", "fivefold")[i % 2]),
             delays_um=np.concatenate(([-FAR], -half[::-1], [0.0], half, [FAR])),
             collection_efficiency=float(rng.uniform(0.05, 1.0)),
