@@ -70,6 +70,22 @@ mandel-dip scan "$config" --mode mc --out "$out/refused" || rc=$?
 test "$rc" -eq 2
 test ! -e "$out/refused"
 
+# a value out of its range exits 2 with an error that names its section,
+# and writes nothing
+refuse() {  # refuse NAME SECTION EDIT: scan the config after the Python EDIT of c
+  python3 -c 'import json, sys; c = json.load(open(sys.argv[1])); exec(sys.argv[2]); json.dump(c, open(sys.argv[3], "w"))' \
+    "$config" "$3" "$out/$1.json"
+  rc=0
+  mandel-dip scan "$out/$1.json" --out "$out/$1" 2> "$out/$1.err" || rc=$?
+  test "$rc" -eq 2
+  test ! -e "$out/$1"
+  python3 -c 'import json, sys; sys.exit(not json.load(open(sys.argv[1]))["error"].startswith(sys.argv[2] + ": "))' \
+    "$out/$1.err" "$2"
+}
+refuse P-1.5 'sources[1]' 'c["sources"][1]["P"] = 1.5'
+refuse herald_fwhm-0 filters 'c["filters"]["herald_fwhm_nm"] = 0'
+refuse fourfold config 'c["scheme"] = "fourfold"'
+
 # a re-scan whose fit.json write fails leaves no old manifest.json
 stale="$out/stale"
 mandel-dip scan "$config" --out "$stale"

@@ -293,15 +293,6 @@ def fit_dip(curve: DipCurve) -> DipFit:
                   iterations=iterations, clamped=clamped)
 
 
-def visibility(od_rate: float, id_rate: float) -> float:
-    """Dip visibility (od - id) / od from out-of-dip and in-dip rates."""
-    if od_rate <= 0.0:
-        raise ValueError("out-of-dip rate must be positive")
-    if id_rate < 0.0 or id_rate > od_rate:
-        raise ValueError("in-dip rate must lie in [0, od_rate]")
-    return (od_rate - id_rate) / od_rate
-
-
 def subtract_floor(curve: DipCurve, floor_hz: float) -> DipCurve:
     """Point-wise removal of a delay-independent background rate."""
     if floor_hz < 0.0:

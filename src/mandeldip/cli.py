@@ -28,9 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, analysis, runner
-from .detect import ALL_ROLES, CoincidenceScheme, DetectorModel
-from .optics import FilterSpec
-from .pdc import SourceParams
+from .detect import ALL_ROLES, DetectorModel
 from .runner import DipCurve, ExperimentConfig
 
 CSV_HEADER = ["delay_um", "rate_hz", "err_hz"]
@@ -107,41 +105,33 @@ def _section(mapping, where: str) -> dict:
             if key in keys or key in mapping}
 
 
-def _build(where: str, make, *args, **kwargs):
-    """`make(*args, **kwargs)`, whose ValueError (a dataclass's range
-    check) becomes a ConfigError that names section `where`."""
+def _build(prefix: str, make, **kwargs):
+    """`make(**kwargs)`, whose ValueError (a dataclass's range check)
+    becomes a ConfigError of the same message after `prefix`."""
     try:
-        return make(*args, **kwargs)
+        return make(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def parse_config(data: dict, seed_override: Optional[int] = None
                  ) -> ExperimentConfig:
-    """Build an ExperimentConfig from the JSON config schema."""
+    """Build an ExperimentConfig from the JSON config schema; its range
+    checks and their messages are `ExperimentConfig`'s own."""
     options = _section(data, "config")
-    sources = options.pop("sources")
-    if len(sources) != 2:
-        raise ConfigError("'sources' must be a list of two entries")
-    s1, s2 = (_build(where, SourceParams, _section(entry, where)["P"])
-              for where, entry in zip(("sources[0]", "sources[1]"), sources))
-
-    filters = _section(options.pop("filters"), "filters")
-    signal = _build("filters", FilterSpec, filters["signal_nm"],
-                    filters["signal_fwhm_nm"])
-    herald = _build("filters", FilterSpec, filters["herald_nm"],
-                    filters["herald_fwhm_nm"])
+    options["pair_probabilities"] = [
+        _section(entry, f"sources[{i}]")["P"]
+        for i, entry in enumerate(options.pop("sources"))]
+    options.update(_section(options.pop("filters"), "filters"))
 
     det_entries = options.pop("detectors")
     if len(det_entries) != len(ALL_ROLES):
         raise ConfigError(f"'detectors' must list {len(ALL_ROLES)} entries "
                           f"({', '.join(ALL_ROLES)})")
-    detectors = {
-        role: _build(f"detectors[{role}]", DetectorModel,
+    options["detectors"] = {
+        role: _build(f"detectors[{role}]: ", DetectorModel,
                      **_section(entry, f"detectors[{role}]"))
         for role, entry in zip(ALL_ROLES, det_entries)}
-
-    scheme = _build("config", CoincidenceScheme, options.pop("scheme"))
 
     delays = _section(options.pop("delays"), "delays")
     lo, hi, step = delays["min_um"], delays["max_um"], delays["step_um"]
@@ -153,18 +143,13 @@ def parse_config(data: dict, seed_override: Optional[int] = None
     if not steps < MAX_GRID_POINTS:
         raise ConfigError(f"delays give more than {MAX_GRID_POINTS} points")
     # `+ 0.0` writes a zero delay as 0, never -0
-    grid = tuple(round(lo + i * step, 9) + 0.0
-                 for i in range(math.floor(steps) + 1))
+    options["delays_um"] = tuple(round(lo + i * step, 9) + 0.0
+                                 for i in range(math.floor(steps) + 1))
 
     options.update(_section(options.pop("mc", {}), "mc"))
     if seed_override is not None:
         options["seed"] = seed_override
-
-    return _build("config", ExperimentConfig,
-                  source1=s1, source2=s2,
-                  signal_filter=signal, herald_filter=herald,
-                  pump_fwhm_nm=filters["pump_fwhm_nm"], detectors=detectors,
-                  scheme=scheme, delays_um=grid, **options)
+    return _build("", ExperimentConfig, **options)
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -4,7 +4,8 @@ Detectors are click/no-click: with n photons arriving, the click
 probability is 1 - (1-eta)^n * (1-dark), which reduces to 2*eta - eta^2
 for two photons and no dark counts. Gating is modeled logically: a
 coincidence scheme names the detectors that must all click on the same
-laser-clock gate. A detector is known by its role, the key of its entry
+laser-clock gate (`SCHEMES`); the clock is implicit, as every gate is
+clock-aligned. A detector is known by its role, the key of its entry
 in an experiment's `detectors` mapping. `ALL_ROLES` is in the engine's
 port order, which its click weights and accidental floor rely on:
 output c, output d, herald 1 (source 1's twin), herald 2.
@@ -13,7 +14,6 @@ output c, output d, herald 1 (source 1's twin), herald 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 GE_1310 = "Ge-1310"
 INGAAS_1310 = "InGaAs-1310"
@@ -21,6 +21,10 @@ INGAAS_1550_1 = "InGaAs-1550-1"
 INGAAS_1550_2 = "InGaAs-1550-2"
 
 ALL_ROLES = (GE_1310, INGAAS_1310, INGAAS_1550_1, INGAAS_1550_2)
+
+# Coincidence scheme name -> the roles that must all click: threefold is
+# the two 1310 detectors, fivefold all four (each with the clock).
+SCHEMES = {"threefold": (GE_1310, INGAAS_1310), "fivefold": ALL_ROLES}
 
 
 @dataclass(frozen=True)
@@ -35,26 +39,6 @@ class DetectorModel:
             raise ValueError("efficiency must lie in [0, 1]")
         if not 0.0 <= self.dark_prob < 1.0:
             raise ValueError("dark probability must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class CoincidenceScheme:
-    """3-fold (two 1310 detectors + clock) or 5-fold (all four + clock).
-
-    The laser clock is implicit: every gate is clock-aligned.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("threefold", "fivefold"):
-            raise ValueError("scheme kind must be 'threefold' or 'fivefold'")
-
-    @property
-    def roles(self) -> Tuple[str, ...]:
-        if self.kind == "threefold":
-            return (GE_1310, INGAAS_1310)
-        return ALL_ROLES
 
 
 def click_probability(n: int, det: DetectorModel) -> float:

@@ -1,9 +1,11 @@
 """Distinguishability model: filters, coherence length and mode overlap.
 
-Spectral filters are Gaussian. A filter of FWHM bandwidth dl at center
-wavelength l gives a coherence length l_c = (2 ln2 / pi) * l^2 / dl
-(FWHM, Gaussian time-bandwidth convention). The dip of the coincidence
-rate versus optical delay then has FWHM sqrt(2) * l_c.
+Spectral filters are Gaussian, each given by its centre wavelength and
+FWHM in nm (`runner.ExperimentConfig` checks both). A filter of FWHM
+bandwidth dl at center wavelength l gives a coherence length
+l_c = (2 ln2 / pi) * l^2 / dl (FWHM, Gaussian time-bandwidth convention).
+The dip of the coincidence rate versus optical delay then has FWHM
+sqrt(2) * l_c.
 
 Path delay, polarization mismatch and a scalar spectral-mismatch knob
 set the overlap x = |m|^2 of photon 2's wave packet with photon 1's,
@@ -13,7 +15,6 @@ which the engine reads over the grid (`overlap_sq`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,30 +22,18 @@ import numpy as np
 _GAUSSIAN_TB_FACTOR = 2.0 * math.log(2.0) / math.pi
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Gaussian interference filter: center wavelength and FWHM, in nm."""
-
-    center_nm: float
-    fwhm_nm: float
-
-    def __post_init__(self):
-        if not 0.0 < self.center_nm < math.inf:
-            raise ValueError("filter center must be positive and finite")
-        if not 0.0 < self.fwhm_nm < math.inf:
-            raise ValueError("filter bandwidth must be positive and finite")
-
-
-def coherence_length(filt: FilterSpec) -> float:
-    """FWHM coherence length in um set by a Gaussian filter."""
-    lam_um = filt.center_nm * 1e-3
-    dlam_um = filt.fwhm_nm * 1e-3
+def coherence_length(center_nm: float, fwhm_nm: float) -> float:
+    """FWHM coherence length in um set by a Gaussian filter of centre
+    `center_nm` and FWHM `fwhm_nm`."""
+    lam_um = center_nm * 1e-3
+    dlam_um = fwhm_nm * 1e-3
     return _GAUSSIAN_TB_FACTOR * lam_um ** 2 / dlam_um
 
 
-def heralded_bandwidth(signal_filter: FilterSpec,
-                       herald_filter: FilterSpec) -> FilterSpec:
-    """Effective signal-wavelength filter after heralding on the twin.
+def heralded_bandwidth(signal_nm: float, signal_fwhm_nm: float,
+                       herald_nm: float, herald_fwhm_nm: float) -> float:
+    """FWHM in nm of the effective signal-wavelength filter after
+    heralding on the twin; the filter stays centred at `signal_nm`.
 
     Energy conservation, which also fixes the pump centre at
     1/l_pump = 1/l_sig + 1/l_her, maps the herald filter onto the signal
@@ -52,11 +41,9 @@ def heralded_bandwidth(signal_filter: FilterSpec,
     l_her)^2; the mapped filter then combines with the physical signal
     filter as a product of Gaussians (inverse-variance sum in frequency).
     """
-    ratio = signal_filter.center_nm / herald_filter.center_nm
-    mapped_fwhm = herald_filter.fwhm_nm * ratio ** 2
-    combined = 1.0 / math.sqrt(signal_filter.fwhm_nm ** -2
-                               + mapped_fwhm ** -2)
-    return FilterSpec(center_nm=signal_filter.center_nm, fwhm_nm=combined)
+    ratio = signal_nm / herald_nm
+    mapped_fwhm = herald_fwhm_nm * ratio ** 2
+    return 1.0 / math.sqrt(signal_fwhm_nm ** -2 + mapped_fwhm ** -2)
 
 
 def dip_variance(coherence_length_um: float) -> float:

@@ -10,23 +10,11 @@ fixed-(n1, n2) states with weights p(n1) p(n2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class SourceParams:
-    """Pair probability P of the geometric law, stored as given."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam < 1.0:
-            raise ValueError("pair probability must lie in [0, 1)")
-
-
-def pair_number_distribution(params: SourceParams, n: int) -> float:
-    """Probability of creating exactly n pairs in one pulse."""
+def pair_number_distribution(P: float, n: int) -> float:
+    """Probability of creating exactly n pairs in one pulse of a source
+    of pair probability P; `runner.ExperimentConfig` checks that P lies
+    in [0, 1)."""
     if n < 0:
         raise ValueError("pair number must be non-negative")
-    lam = params.lam
-    return (1.0 - lam) * lam ** n
+    return (1.0 - P) * P ** n

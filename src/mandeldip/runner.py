@@ -62,9 +62,15 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from . import detect, fock, optics, pdc
-from .detect import ALL_ROLES, CoincidenceScheme, DetectorModel
-from .optics import FilterSpec
-from .pdc import SourceParams
+from .detect import ALL_ROLES, SCHEMES, DetectorModel
+
+# The filter values of an experiment, each positive and finite, and what
+# an out-of-range one is called in its error
+_FILTER_VALUES = (("signal_nm", "filter center"),
+                  ("signal_fwhm_nm", "filter bandwidth"),
+                  ("herald_nm", "filter center"),
+                  ("herald_fwhm_nm", "filter bandwidth"),
+                  ("pump_fwhm_nm", "pump_fwhm_nm"))
 
 # Largest truncation accepted. At P = 0.2 the pair mass beyond 20 pairs
 # is 4e-14, while the engine's cost grows about as max_pairs^4 (0.045 s
@@ -75,15 +81,21 @@ MAX_PAIRS_LIMIT = 20
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one delay-scan experiment. A field with a
-    default is a config key that may be left out (`cli.parse_config`)."""
+    default is a config key that may be left out (`cli.parse_config`).
 
-    source1: SourceParams
-    source2: SourceParams
-    signal_filter: FilterSpec
-    herald_filter: FilterSpec
+    The range checks of every value but a detector's (`DetectorModel`)
+    live here, and each ValueError names the config section of the
+    faulty value as `mandel-dip scan` prints it (`sources[1]: ...`,
+    `filters: ...`, `config: ...`)."""
+
+    pair_probabilities: Tuple[float, float]  # each source's P, in order
+    signal_nm: float
+    signal_fwhm_nm: float
+    herald_nm: float
+    herald_fwhm_nm: float
     pump_fwhm_nm: float
     detectors: Mapping[str, DetectorModel]
-    scheme: CoincidenceScheme
+    scheme: str  # a key of `detect.SCHEMES`
     delays_um: Tuple[float, ...]
     pulses_per_point: int = 100_000
     seed: int = 0
@@ -96,34 +108,53 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # stored as declared, also when the grid comes as an array
+        object.__setattr__(self, "pair_probabilities",
+                           tuple(self.pair_probabilities))
         object.__setattr__(self, "delays_um", tuple(map(float, self.delays_um)))
+        if len(self.pair_probabilities) != 2:
+            raise ValueError("'sources' must be a list of two entries")
+        for i, p in enumerate(self.pair_probabilities):
+            if not 0.0 <= p < 1.0:
+                raise ValueError(f"sources[{i}]: pair probability must lie "
+                                 "in [0, 1)")
+        for name, what in _FILTER_VALUES:
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"filters: {what} must be positive and "
+                                 "finite")
+        if self.scheme not in SCHEMES:
+            raise ValueError("config: scheme kind must be "
+                             + " or ".join(map(repr, SCHEMES)))
         if len(self.delays_um) == 0:
-            raise ValueError("delay grid must be non-empty")
+            raise ValueError("config: delay grid must be non-empty")
         if any(b <= a for a, b in zip(self.delays_um, self.delays_um[1:])):
-            raise ValueError("delay grid must be strictly increasing")
+            raise ValueError("config: delay grid must be strictly increasing")
         if set(self.detectors) != set(ALL_ROLES):
-            raise ValueError("detectors must be keyed by exactly the roles "
-                             + ", ".join(ALL_ROLES))
+            raise ValueError("config: detectors must be keyed by exactly the "
+                             "roles " + ", ".join(ALL_ROLES))
         # the MC's binomial draw takes the pulse count as an int64
         if not 1 <= self.pulses_per_point <= 2 ** 63 - 1:
-            raise ValueError("pulses_per_point must lie in [1, 2**63 - 1]")
-        if not 0.0 < self.pump_fwhm_nm < math.inf:
-            raise ValueError("pump_fwhm_nm must be positive and finite")
+            raise ValueError("config: pulses_per_point must lie in "
+                             "[1, 2**63 - 1]")
         if not 0.0 < self.collection_efficiency <= 1.0:
-            raise ValueError("collection_efficiency must lie in (0, 1]")
+            raise ValueError("config: collection_efficiency must lie in "
+                             "(0, 1]")
         if not 1 <= self.max_pairs <= MAX_PAIRS_LIMIT:
-            raise ValueError(f"max_pairs must lie in [1, {MAX_PAIRS_LIMIT}]")
+            raise ValueError(f"config: max_pairs must lie in "
+                             f"[1, {MAX_PAIRS_LIMIT}]")
         if not 0.0 < self.pulse_rate_hz < math.inf:
-            raise ValueError("pulse_rate_hz must be positive and finite")
+            raise ValueError("config: pulse_rate_hz must be positive and "
+                             "finite")
         if not math.isfinite(self.polarization_angle_rad):
-            raise ValueError("polarization_angle_rad must be finite")
+            raise ValueError("config: polarization_angle_rad must be finite")
         if not 0.0 <= self.spectral_mismatch <= 1.0:
-            raise ValueError("spectral_mismatch must lie in [0, 1]")
+            raise ValueError("config: spectral_mismatch must lie in [0, 1]")
         try:  # a filter width too small or too large for a float dip
             optics.dip_variance(self.coherence_length_um())
         except ArithmeticError as exc:
-            raise ValueError("filter widths give a dip width out of the "
-                             "float range") from exc
+            raise ValueError("config: filter widths give a dip width out of "
+                             "the float range") from exc
+        except ValueError as exc:
+            raise ValueError(f"config: {exc}") from exc
 
     def effective_detectors(self) -> Dict[str, DetectorModel]:
         """Detector models with collection losses folded into eta."""
@@ -136,11 +167,11 @@ class ExperimentConfig:
         Five-fold post-selection heralds through the 1550 nm filters,
         narrowing the effective signal bandwidth and widening the dip.
         """
-        if self.scheme.kind == "fivefold":
-            eff = optics.heralded_bandwidth(self.signal_filter,
-                                            self.herald_filter)
-            return optics.coherence_length(eff)
-        return optics.coherence_length(self.signal_filter)
+        fwhm_nm = self.signal_fwhm_nm
+        if self.scheme == "fivefold":
+            fwhm_nm = optics.heralded_bandwidth(
+                self.signal_nm, fwhm_nm, self.herald_nm, self.herald_fwhm_nm)
+        return optics.coherence_length(self.signal_nm, fwhm_nm)
 
     def overlaps_sq(self) -> np.ndarray:
         """Overlap |m|^2 at every delay point of the grid."""
@@ -213,11 +244,12 @@ def analytic_visibility_fivefold_untruncated(p: float) -> float:
 
 def _pair_configs(cfg: ExperimentConfig) -> List[Tuple[int, int, float]]:
     """Truncated (n1, n2) configurations with renormalized probabilities."""
+    p1, p2 = cfg.pair_probabilities
     raw = []
     for n1 in range(cfg.max_pairs + 1):
         for n2 in range(cfg.max_pairs + 1 - n1):
-            p = (pdc.pair_number_distribution(cfg.source1, n1)
-                 * pdc.pair_number_distribution(cfg.source2, n2))
+            p = (pdc.pair_number_distribution(p1, n1)
+                 * pdc.pair_number_distribution(p2, n2))
             raw.append((n1, n2, p))
     z = sum(p for _, _, p in raw)
     return [(n1, n2, p / z) for n1, n2, p in raw]
@@ -236,7 +268,7 @@ def _click_weights(cfg: ExperimentConfig) -> List[List[float]]:
     photons = range(cfg.max_pairs + 1)
     weights = []
     for role in ALL_ROLES:
-        if role not in cfg.scheme.roles:
+        if role not in SCHEMES[cfg.scheme]:
             weights.append([1.0] * len(photons))
         elif cfg.small_eta:
             weights.append([n * detectors[role].eta for n in photons])
@@ -384,7 +416,7 @@ def accidental_floor_hz(cfg: ExperimentConfig) -> float:
     if cfg.small_eta:
         return 0.0
     detectors = cfg.effective_detectors()
-    singles = dict.fromkeys(cfg.scheme.roles, 0.0)
+    singles = dict.fromkeys(SCHEMES[cfg.scheme], 0.0)
     for n1, n2, p in _pair_configs(cfg):
         arrivals = ((n1 + n2, 0.5), (n1 + n2, 0.5), (n1, 1.0), (n2, 1.0))
         for role, (n, f) in zip(ALL_ROLES, arrivals):

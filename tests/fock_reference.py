@@ -28,7 +28,6 @@ import numpy as np
 
 from mandeldip import detect, pdc
 from mandeldip.fock import beamsplitter_amplitudes
-from mandeldip.pdc import SourceParams
 
 SPATIAL_LABELS = ("a", "b", "c", "d", "herald1", "herald2")
 TEMPORAL_LABELS = ("matched", "orthogonal")
@@ -317,23 +316,25 @@ def pair_configuration_state(registry: ModeRegistry, n1: int, n2: int,
     return state.normalized()
 
 
-def sample_pair_count_arrays(s1: SourceParams, s2: SourceParams, size: int,
+def sample_pair_count_arrays(p1: float, p2: float, size: int,
                              rng: np.random.Generator):
-    """Per-pulse pair counts of `size` pulses; geometric in each source."""
+    """Per-pulse pair counts of `size` pulses; geometric in each source,
+    of pair probabilities p1 and p2."""
     def draw(lam):
         if lam == 0.0:
             return np.zeros(size, dtype=np.int64)
         # numpy's geometric counts trials up to the first success.
         return rng.geometric(1.0 - lam, size=size).astype(np.int64) - 1
 
-    return draw(s1.lam), draw(s2.lam)
+    return draw(p1), draw(p2)
 
 
 def reference_pair_weights(cfg):
     """(n1, n2, p) for n1 + n2 <= max_pairs: each source's geometric pair
     law, renormalized over the truncation."""
-    raw = [(n1, n2, pdc.pair_number_distribution(cfg.source1, n1)
-            * pdc.pair_number_distribution(cfg.source2, n2))
+    p1, p2 = cfg.pair_probabilities
+    raw = [(n1, n2, pdc.pair_number_distribution(p1, n1)
+            * pdc.pair_number_distribution(p2, n2))
            for n1 in range(cfg.max_pairs + 1)
            for n2 in range(cfg.max_pairs + 1 - n1)]
     z = math.fsum(p for _, _, p in raw)
@@ -360,7 +361,7 @@ def pointwise_probs(cfg):
     own overlap, each pattern weighted by the scheme's detectors (a
     threshold click, or n * eta in small-eta mode) and summed."""
     dets = cfg.effective_detectors()
-    weights = [[1.0 if role not in cfg.scheme.roles
+    weights = [[1.0 if role not in detect.SCHEMES[cfg.scheme]
                 else n * dets[role].eta if cfg.small_eta
                 else detect.click_probability(n, dets[role])
                 for n in range(cfg.max_pairs + 1)]

@@ -7,23 +7,19 @@ import numpy as np
 import pytest
 
 from mandeldip import analysis, detect, optics, pdc, runner
-from mandeldip.detect import CoincidenceScheme, DetectorModel
-from mandeldip.optics import FilterSpec
-from mandeldip.pdc import SourceParams
+from mandeldip.detect import DetectorModel
 from mandeldip.runner import ExperimentConfig
 
 import fock_reference as fock
 from fock_reference import Mode, PureState, sample_pair_count_arrays
 from lab_setup import lab_setup
 
-P04 = SourceParams(0.04)
+P04 = 0.04
 FAR = 1e5
 
 
 def config(scheme="threefold", *, P=0.04, delays, **kw):
-    s = SourceParams(P)
-    return ExperimentConfig(source1=s, source2=s,
-                            scheme=CoincidenceScheme(scheme),
+    return ExperimentConfig(pair_probabilities=(P, P), scheme=scheme,
                             delays_um=tuple(delays), **lab_setup(), **kw)
 
 
@@ -55,7 +51,8 @@ def test_03_fivefold_vmax_enumeration():
         cfg = config("fivefold", P=p, delays=(0.0, FAR),
                      small_eta=True, max_pairs=3)
         curve = runner.dip_curve_analytic(cfg)
-        v = analysis.visibility(curve.rates_hz[-1], curve.rates_hz[0])
+        od, in_dip = curve.rates_hz[-1], curve.rates_hz[0]
+        v = (od - in_dip) / od
         expected = runner.analytic_visibility_fivefold_max(p)
         assert v == pytest.approx(expected, rel=0.01)
         if p == 0.04:
@@ -64,7 +61,7 @@ def test_03_fivefold_vmax_enumeration():
 
 
 def test_04_dip_geometry():
-    l_c = optics.coherence_length(FilterSpec(1310, 10))
+    l_c = optics.coherence_length(1310, 10)
     assert l_c == pytest.approx(75.0, rel=0.02)
     cfg = config(delays=np.linspace(-300, 300, 31), small_eta=True)
     fit = analysis.fit_dip(runner.dip_curve_analytic(cfg))
@@ -74,16 +71,15 @@ def test_04_dip_geometry():
 
 
 def test_05_heralded_bandwidth_and_wider_fivefold_dip():
-    wide = FilterSpec(1310, 1e9)
-    eff = optics.heralded_bandwidth(wide, FilterSpec(1550, 10))
-    assert eff.fwhm_nm == pytest.approx(7.1, abs=0.2)
+    eff_fwhm_nm = optics.heralded_bandwidth(1310, 1e9, 1550, 10)
+    assert eff_fwhm_nm == pytest.approx(7.1, abs=0.2)
     fit3 = analysis.fit_dip(runner.dip_curve_analytic(
         config(delays=np.linspace(-300, 300, 31), small_eta=True)))
     fit5 = analysis.fit_dip(runner.dip_curve_analytic(
         config("fivefold", delays=np.linspace(-500, 500, 31), small_eta=True)))
     assert fit5.fwhm_um > fit3.fwhm_um
     report(5, "mapped herald bandwidth (nm) / FWHM 5f > 3f (um)",
-           f"{eff.fwhm_nm:.2f} / {fit5.fwhm_um:.1f} > {fit3.fwhm_um:.1f}")
+           f"{eff_fwhm_nm:.2f} / {fit5.fwhm_um:.1f} > {fit3.fwhm_um:.1f}")
 
 
 def test_06_stimulated_emission_identity():

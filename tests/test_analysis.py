@@ -9,8 +9,6 @@ import pytest
 
 from mandeldip import analysis, cli, runner
 from mandeldip.analysis import DipFit, dip_jacobian, dip_model, fit_dip
-from mandeldip.detect import CoincidenceScheme
-from mandeldip.pdc import SourceParams
 from mandeldip.runner import DipCurve
 
 from lab_setup import LAB_CONFIG, lab_setup
@@ -168,17 +166,6 @@ def test_weighted_fit_uses_error_bars():
     assert abs(fit.visibility - 0.28) < 4 * sigma_v
 
 
-def test_visibility_ratio():
-    p = 0.04
-    assert analysis.visibility(3 * p ** 2 / 2, p ** 2) == pytest.approx(1 / 3)
-    assert analysis.visibility(5.0, 5.0) == 0.0
-    assert analysis.visibility(5.0, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        analysis.visibility(0.0, 0.0)
-    with pytest.raises(ValueError):
-        analysis.visibility(1.0, 2.0)
-
-
 def test_pointwise_floor_subtraction_recovers_truth():
     sigma = 142.0 / FWHM_PER_SIGMA
     true = synthetic_curve(160.0, 0.28, sigma)
@@ -214,9 +201,8 @@ def test_subtract_floor_clamps_at_zero():
 
 
 def test_fit_on_seeded_mc_curve():
-    s = SourceParams(0.04)
-    cfg = runner.ExperimentConfig(source1=s, source2=s,
-                                  scheme=CoincidenceScheme("threefold"),
+    cfg = runner.ExperimentConfig(pair_probabilities=(0.04, 0.04),
+                                  scheme="threefold",
                                   delays_um=tuple(np.linspace(-250, 250, 11)),
                                   pulses_per_point=1_000_000, seed=17,
                                   **lab_setup())

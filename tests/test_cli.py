@@ -294,7 +294,7 @@ def test_scan_runs_the_engine_once(tmp_path, monkeypatch, mode):
     assert report["accidental_hz"] > 0.0
 
 
-def test_scan_fivefold_pump_follows_signal_and_herald(tmp_path):
+def test_scan_fivefold_at_signal_810_converges(tmp_path):
     cfg = base_config(scheme="fivefold",
                       delays={"min_um": -300, "max_um": 300, "step_um": 30})
     cfg["filters"]["signal_nm"] = 810
@@ -412,7 +412,7 @@ FOUR_DETECTORS = [{"eta": 0.3}] * 4
     pytest.param({"filters": {**base_config()["filters"], "signal_fwhm_nm": -1}},
                  "filters: filter bandwidth", id="signal_fwhm-negative"),
     pytest.param({"filters": {**base_config()["filters"], "pump_fwhm_nm": 0}},
-                 "config: pump_fwhm_nm must be positive", id="pump_fwhm-zero"),
+                 "filters: pump_fwhm_nm must be positive", id="pump_fwhm-zero"),
     pytest.param({"spectral_mismatch": 3}, "config: spectral_mismatch",
                  id="spectral_mismatch-3"),
     pytest.param({"sources": [{"P": 0.04}]},
@@ -459,6 +459,49 @@ def test_scan_rejects_max_pairs_beyond_the_limit(tmp_path, capsys,
 
 def filters(**widths):
     return {**base_config()["filters"], **widths}
+
+
+def sources_with(index, p):
+    sources = [{"P": 0.04}, {"P": 0.04}]
+    sources[index] = {"P": p}
+    return sources
+
+
+BAD_P = (-0.01, 1.0, 1.5, math.nan, math.inf, -math.inf)
+BAD_FILTER = (0, 0.0, -1.0, math.nan, math.inf, -math.inf)
+
+
+# A value out of the range of a source, a filter or the scheme: the
+# config override that the scan refuses, the section its error names, and
+# the fields that give `ExperimentConfig` the same fault when it is built
+# directly, non-finite values too, which a config cannot hold
+@pytest.mark.parametrize("override, section, direct", [
+    *(pytest.param({"sources": sources_with(i, 1.5)}, f"sources[{i}]",
+                   [{"pair_probabilities": (p, 0.04) if i == 0 else (0.04, p)}
+                    for p in BAD_P],
+                   id=f"sources[{i}]") for i in (0, 1)),
+    *(pytest.param({"filters": filters(**{key: 0})}, "filters",
+                   [{key: value} for value in BAD_FILTER], id=key)
+      for key in ("signal_nm", "signal_fwhm_nm", "herald_nm",
+                  "herald_fwhm_nm", "pump_fwhm_nm")),
+    pytest.param({"scheme": "fourfold"}, "config",
+                 [{"scheme": name} for name in ("fourfold", "Fivefold", "")],
+                 id="scheme"),
+])
+def test_experiment_config_refuses_with_the_scan_message(tmp_path, capsys,
+                                                         override, section,
+                                                         direct):
+    out_dir = tmp_path / "x"
+    cfg_path = write_config(tmp_path, base_config(**override))
+    assert cli.main(["scan", str(cfg_path), "--out", str(out_dir)]) == 2
+    printed = json.loads(capsys.readouterr().err)["error"]
+    assert printed.startswith(f"{section}: ")
+    assert not out_dir.exists()
+    fields = vars(cli.parse_config(base_config()))
+    for change in direct:
+        with pytest.raises(ValueError) as refused:
+            runner.ExperimentConfig(**{**fields, **change})
+        assert str(refused.value) == printed, change
 
 
 @pytest.mark.parametrize("override, args, named", [
@@ -617,9 +660,11 @@ def test_config_without_optional_keys_takes_the_dataclass_defaults():
     assert defaults.keys() == (optional.keys() - {"mc"}
                                | cli._SCHEMA["mc"][1].keys())
     # and every other field comes from a key that a config must set
-    must_set = {"source1": (None, "sources"), "source2": (None, "sources"),
-                "signal_filter": ("filters", "signal_fwhm_nm"),
-                "herald_filter": ("filters", "herald_fwhm_nm"),
+    must_set = {"pair_probabilities": (None, "sources"),
+                "signal_nm": ("filters", "signal_nm"),
+                "signal_fwhm_nm": ("filters", "signal_fwhm_nm"),
+                "herald_nm": ("filters", "herald_nm"),
+                "herald_fwhm_nm": ("filters", "herald_fwhm_nm"),
                 "pump_fwhm_nm": ("filters", "pump_fwhm_nm"),
                 "detectors": (None, "detectors"), "scheme": (None, "scheme"),
                 "delays_um": (None, "delays")}

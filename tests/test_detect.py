@@ -3,12 +3,11 @@ import math
 import pytest
 
 from mandeldip import analysis, detect, runner
-from mandeldip.detect import (CoincidenceScheme, DetectorModel, GE_1310,
-                              INGAAS_1310, INGAAS_1550_1, INGAAS_1550_2)
-from mandeldip.pdc import SourceParams
+from mandeldip.detect import (DetectorModel, GE_1310, INGAAS_1310,
+                              INGAAS_1550_1, INGAAS_1550_2)
 from mandeldip.runner import DipCurve
 
-from lab_setup import lab_setup
+from lab_setup import lab_config, lab_setup
 
 
 def det(eta, dark=0.0):
@@ -61,10 +60,8 @@ def make_detectors(dark=0.0):
 def coincidence_weight(pattern, kind):
     """Click product of `runner._click_weights` for the output pattern
     (c, d, herald1, herald2) under scheme `kind`."""
-    vacuum = SourceParams(0.0)
     setup = {**lab_setup(), "detectors": make_detectors()}
-    cfg = runner.ExperimentConfig(source1=vacuum, source2=vacuum,
-                                  scheme=CoincidenceScheme(kind),
+    cfg = runner.ExperimentConfig(pair_probabilities=(0.0, 0.0), scheme=kind,
                                   delays_um=(0.0,), **setup)
     return math.prod(weights[n] for weights, n
                      in zip(runner._click_weights(cfg), pattern))
@@ -96,12 +93,17 @@ def lab_scale_raw_curve():
     return curve, floor
 
 
+def visibility(od_rate, id_rate):
+    """Dip visibility (od - id) / od from out-of-dip and in-dip rates."""
+    return (od_rate - id_rate) / od_rate
+
+
 def test_net_visibility_exceeds_raw():
     # subtracting a delay-independent floor increases the dip contrast
     raw, floor = lab_scale_raw_curve()
     net = analysis.subtract_floor(raw, floor)
-    v_raw = analysis.visibility(*raw.rates_hz[:2])
-    v_net = analysis.visibility(*net.rates_hz[:2])
+    v_raw = visibility(*raw.rates_hz[:2])
+    v_net = visibility(*net.rates_hz[:2])
     assert v_net == pytest.approx(0.28, rel=1e-12)
     assert v_raw < v_net
 
@@ -109,7 +111,7 @@ def test_net_visibility_exceeds_raw():
 def test_lab_scale_raw_visibility_band():
     # raw V = V_net * (od - acc) / od with the measured-scale rates
     raw, _ = lab_scale_raw_curve()
-    v_raw = analysis.visibility(*raw.rates_hz[:2])
+    v_raw = visibility(*raw.rates_hz[:2])
     assert v_raw == pytest.approx(0.28 * (180.0 - 20.0) / 180.0, rel=1e-12)
     assert 0.21 <= v_raw <= 0.25
 
@@ -120,5 +122,5 @@ def test_model_validation():
     with pytest.raises(ValueError):
         DetectorModel(eta=0.5, dark_prob=1.0)
     with pytest.raises(ValueError):
-        CoincidenceScheme("fourfold")
-    assert CoincidenceScheme("fivefold").roles == detect.ALL_ROLES
+        runner.ExperimentConfig(**{**vars(lab_config()), "scheme": "fourfold"})
+    assert detect.SCHEMES["fivefold"] == detect.ALL_ROLES

@@ -3,53 +3,49 @@ import math
 import numpy as np
 import pytest
 
-from mandeldip import optics
-from mandeldip.optics import FilterSpec
+from mandeldip import optics, runner
 
 import fock_reference as fock
 from fock_reference import Mode, PureState
+from lab_setup import lab_config
 
 
 def test_coherence_length_1310_10nm():
-    f = FilterSpec(1310, 10)
-    assert optics.coherence_length(f) == pytest.approx(75.0, rel=0.02)
+    assert optics.coherence_length(1310, 10) == pytest.approx(75.0, rel=0.02)
 
 
 def test_coherence_length_wavelength_squared_scaling():
-    l1 = optics.coherence_length(FilterSpec(1310, 10))
-    l2 = optics.coherence_length(FilterSpec(2620, 10))
+    l1 = optics.coherence_length(1310, 10)
+    l2 = optics.coherence_length(2620, 10)
     assert l2 == pytest.approx(4 * l1, rel=1e-12)
 
 
 def test_coherence_length_1550():
-    val = optics.coherence_length(FilterSpec(1550, 10))
+    val = optics.coherence_length(1550, 10)
     assert val == pytest.approx(2 * math.log(2) / math.pi * 1.550 ** 2 / 1e-2,
                                 rel=1e-9)
     assert val == pytest.approx(106.0, rel=0.01)
 
 
 def test_heralded_bandwidth_mapping():
-    wide = FilterSpec(1310, 1e9)
-    eff = optics.heralded_bandwidth(wide, FilterSpec(1550, 10))
-    assert eff.center_nm == 1310
-    assert eff.fwhm_nm == pytest.approx(10 * (1310 / 1550) ** 2, rel=1e-9)
-    assert eff.fwhm_nm == pytest.approx(7.14, abs=0.01)
+    eff_fwhm_nm = optics.heralded_bandwidth(1310, 1e9, 1550, 10)
+    assert eff_fwhm_nm == pytest.approx(10 * (1310 / 1550) ** 2, rel=1e-9)
+    assert eff_fwhm_nm == pytest.approx(7.14, abs=0.01)
 
 
 def test_heralded_bandwidth_quadrature_combination():
-    eff = optics.heralded_bandwidth(FilterSpec(1310, 10), FilterSpec(1550, 10))
+    eff_fwhm_nm = optics.heralded_bandwidth(1310, 10, 1550, 10)
     mapped = 10 * (1310 / 1550) ** 2
     oracle = 1 / math.sqrt(10 ** -2 + mapped ** -2)
-    assert eff.fwhm_nm == pytest.approx(oracle, rel=1e-12)
-    assert eff.fwhm_nm == pytest.approx(5.8, abs=0.05)
+    assert eff_fwhm_nm == pytest.approx(oracle, rel=1e-12)
+    assert eff_fwhm_nm == pytest.approx(5.8, abs=0.05)
 
 
 def test_heralded_bandwidth_never_widens():
     for her_fwhm in (2.0, 5.0, 10.0, 50.0):
-        eff = optics.heralded_bandwidth(FilterSpec(1310, 10),
-                                        FilterSpec(1550, her_fwhm))
+        eff_fwhm_nm = optics.heralded_bandwidth(1310, 10, 1550, her_fwhm)
         mapped = her_fwhm * (1310 / 1550) ** 2
-        assert eff.fwhm_nm <= min(10.0, mapped) + 1e-12
+        assert eff_fwhm_nm <= min(10.0, mapped) + 1e-12
 
 
 def test_overlap_perfect_alignment():
@@ -114,10 +110,13 @@ def test_partial_overlap_coincidence_probability():
 
 
 def test_filter_validation():
+    lab = vars(lab_config())
     for center, fwhm in ((-1, 10), (1310, 0), (math.inf, 10), (1310, math.inf),
                          (math.nan, 10), (1310, math.nan)):
-        with pytest.raises(ValueError, match="positive and finite"):
-            FilterSpec(center, fwhm)
+        for name in ("signal", "herald"):
+            with pytest.raises(ValueError, match="positive and finite"):
+                runner.ExperimentConfig(**{**lab, f"{name}_nm": center,
+                                           f"{name}_fwhm_nm": fwhm})
     with pytest.raises(ValueError):
         optics.overlap_sq(0.0, 75.0, spectral_mismatch=1.5)
     with pytest.raises(ValueError):

@@ -8,34 +8,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mandeldip import analysis, cli, detect, fock, optics, runner
-from mandeldip.detect import CoincidenceScheme, DetectorModel
-from mandeldip.pdc import SourceParams
+from mandeldip import analysis, cli, detect, fock, runner
+from mandeldip.detect import DetectorModel
 from mandeldip.runner import ExperimentConfig
 
 from fock_reference import (fock_pattern_distribution, pointwise_probs,
                             reference_pair_weights)
 from lab_setup import lab_setup
 
-P04 = SourceParams(0.04)
+P04 = 0.04
 FAR = 1e5  # um, far outside any dip
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_config(scheme="threefold", *, P=0.04, delays=None, small_eta=True,
                 max_pairs=3, **kw):
-    s = SourceParams(P)
     if delays is None:
         delays = tuple(np.linspace(-300, 300, 31))
-    return ExperimentConfig(source1=s, source2=s,
-                            scheme=CoincidenceScheme(scheme),
+    return ExperimentConfig(pair_probabilities=(P, P), scheme=scheme,
                             delays_um=tuple(delays), small_eta=small_eta,
                             max_pairs=max_pairs, **{**lab_setup(), **kw})
 
 
 def engine_visibility(cfg_center, cfg_far=None):
     curve = runner.dip_curve_analytic(cfg_center)
-    return analysis.visibility(curve.rates_hz[-1], curve.rates_hz[0])
+    od, in_dip = curve.rates_hz[-1], curve.rates_hz[0]
+    return (od - in_dip) / od
 
 
 def test_threefold_visibility_is_one_third():
@@ -52,7 +50,8 @@ def test_threefold_visibility_scales_with_center_overlap():
     for q in (0.0, 0.25, 0.7, 1.0):
         cfg = make_config(delays=(0.0, FAR), spectral_mismatch=1.0 - q)
         curve = runner.dip_curve_analytic(cfg)
-        v = analysis.visibility(curve.rates_hz[-1], curve.rates_hz[0])
+        od, in_dip = curve.rates_hz[-1], curve.rates_hz[0]
+        v = (od - in_dip) / od
         assert v == pytest.approx(q / 3, abs=1e-9)
 
 
@@ -180,7 +179,7 @@ def test_config_validation():
 ])
 def test_config_requires_exactly_the_detector_roles(keys):
     detectors = {key: DetectorModel(eta=0.3) for key in keys}
-    with pytest.raises(ValueError, match="^detectors must be keyed by "
+    with pytest.raises(ValueError, match="^config: detectors must be keyed by "
                        "exactly the roles " + ", ".join(detect.ALL_ROLES)):
         make_config(detectors=detectors)
 
@@ -188,7 +187,7 @@ def test_config_requires_exactly_the_detector_roles(keys):
 @pytest.mark.parametrize("field", ["pulse_rate_hz", "polarization_angle_rad"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_config_rejects_non_finite_rate_and_angle(field, bad):
-    with pytest.raises(ValueError, match=f"^{field} must be "):
+    with pytest.raises(ValueError, match=f"^config: {field} must be "):
         make_config(**{field: bad})
 
 
@@ -241,19 +240,18 @@ def test_digest_stability():
     assert cfg1.digest() == cfg2.digest()
     cfg3 = make_config(delays=(0.0, 20.0))
     assert cfg1.digest() != cfg3.digest()
-    as_array = ExperimentConfig(source1=P04, source2=P04, small_eta=True,
-                                scheme=CoincidenceScheme("threefold"),
+    as_array = ExperimentConfig(pair_probabilities=(P04, P04),
+                                small_eta=True, scheme="threefold",
                                 delays_um=np.array([0.0, 10.0]), **lab_setup())
     assert as_array.digest() == cfg1.digest()
     # every field enters the digest
     detectors = dict(cfg1.detectors)
     detectors[detect.GE_1310] = DetectorModel(eta=0.2)
     changes = dict(
-        source1=SourceParams(0.085), source2=SourceParams(0.085),
-        signal_filter=optics.FilterSpec(1310.0, 12.0),
-        herald_filter=optics.FilterSpec(1550.0, 12.0),
+        pair_probabilities=(0.085, 0.085), signal_nm=1300.0,
+        signal_fwhm_nm=12.0, herald_nm=1540.0, herald_fwhm_nm=12.0,
         pump_fwhm_nm=5.0, detectors=detectors,
-        scheme=CoincidenceScheme("fivefold"), delays_um=(0.0, 20.0),
+        scheme="fivefold", delays_um=(0.0, 20.0),
         pulses_per_point=7, seed=1, pulse_rate_hz=8e7,
         collection_efficiency=0.5, polarization_angle_rad=0.1,
         spectral_mismatch=0.1, max_pairs=4, small_eta=False)
@@ -264,12 +262,10 @@ def test_digest_stability():
 
 
 def test_mc_zero_sources_dark_free_is_silent():
-    zero = SourceParams(0.0)
     lab = lab_setup()
     dets = {role: DetectorModel(eta=d.eta, dark_prob=0.0)
             for role, d in lab["detectors"].items()}
-    cfg = ExperimentConfig(source1=zero, source2=zero,
-                           scheme=CoincidenceScheme("threefold"),
+    cfg = ExperimentConfig(pair_probabilities=(0.0, 0.0), scheme="threefold",
                            delays_um=(-50.0, 0.0, 50.0),
                            pulses_per_point=20_000, seed=3,
                            **{**lab, "detectors": dets})
@@ -377,10 +373,11 @@ def test_accidental_floor_only_with_darks():
                                   "lab_fivefold"])
 def test_polynomial_engine_matches_pointwise_sum(name):
     base = cli.parse_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
-    zero = SourceParams(0.0)
+    p1, p2 = base.pair_probabilities
     variants = [dict(max_pairs=k, small_eta=eta)
                 for k in (1, 2, 3, 4, 5, 6) for eta in (True, False)]
-    variants += [dict(source1=zero), dict(source2=zero)]
+    variants += [dict(pair_probabilities=(0.0, p2)),
+                 dict(pair_probabilities=(p1, 0.0))]
     variants += [dict(collection_efficiency=0.5, small_eta=eta)
                  for eta in (True, False)]
     for variant in variants:
@@ -420,15 +417,16 @@ def test_singles_match_fock_sum_at_zero_overlap(name):
     dets = {role: DetectorModel(eta=d.eta, dark_prob=d.dark_prob or 1e-4)
             for role, d in base.detectors.items()}
     base = dataclasses.replace(base, small_eta=False, detectors=dets)
-    zero = SourceParams(0.0)
+    p1, p2 = base.pair_probabilities
     variants = [dict(max_pairs=k) for k in (3, 4, 5, 6)]
-    variants += [dict(source1=zero), dict(source2=zero)]
+    variants += [dict(pair_probabilities=(0.0, p2)),
+                 dict(pair_probabilities=(p1, 0.0))]
     for variant in variants:
         cfg = dataclasses.replace(base, **variant)
         dets = cfg.effective_detectors()
         nodark = {role: DetectorModel(eta=d.eta, dark_prob=0.0)
                   for role, d in dets.items()}
-        singles = {role: 0.0 for role in cfg.scheme.roles}
+        singles = {role: 0.0 for role in detect.SCHEMES[cfg.scheme]}
         for pattern, pq in fock_pattern_distribution(cfg, 0.0):
             for role, n in zip(detect.ALL_ROLES, pattern):
                 if role in singles:
@@ -469,10 +467,9 @@ def sweep_configs(n=200, seed=16):
                 for role in detect.ALL_ROLES}
         half = np.sort(rng.uniform(0.0, 300.0, 3))
         yield ExperimentConfig(
-            source1=SourceParams(rng.uniform(0.0, 0.2)),
-            source2=SourceParams(rng.uniform(0.0, 0.2)),
-            **{**lab, "detectors": dets}, scheme=CoincidenceScheme(
-                ("threefold", "fivefold")[i % 2]),
+            pair_probabilities=(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2)),
+            **{**lab, "detectors": dets},
+            scheme=("threefold", "fivefold")[i % 2],
             delays_um=np.concatenate(([-FAR], -half[::-1], [0.0], half, [FAR])),
             collection_efficiency=float(rng.uniform(0.05, 1.0)),
             polarization_angle_rad=float(rng.uniform(0.0, math.pi / 2)),
@@ -509,7 +506,7 @@ def test_sweep_dark_counts_never_lower_p():
         if cfg.small_eta:
             continue
         p = runner._coincidence_probs(cfg)
-        for role in cfg.scheme.roles:
+        for role in detect.SCHEMES[cfg.scheme]:
             dets = dict(cfg.detectors)
             dets[role] = dataclasses.replace(
                 dets[role], dark_prob=dets[role].dark_prob + 1e-4)
@@ -529,7 +526,7 @@ def moment_sum(cfg):
     total = np.zeros_like(x)
     for n1, n2, p in reference_pair_weights(cfg):
         w = p * eta_c * eta_d
-        if cfg.scheme.kind == "fivefold":
+        if cfg.scheme == "fivefold":
             w *= eta_h1 * n1 * eta_h2 * n2
         total += w * (n1 * (n1 - 1) + n2 * (n2 - 1) + 2 * n1 * n2 * (1 - x)) / 4
     return total
