@@ -20,14 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .detect import Record
 from .runner import DipCurve
 
 _FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 MIN_FIT_POINTS = 5  # fewest points a fit takes; `cli` checks scan grids
 
 
-@dataclass(frozen=True)
-class DipFit:
+@dataclass(init=False, repr=False, eq=False)
+class DipFit(Record):
     """Fitted dip parameters and fit diagnostics of a converged fit;
     `fit_dip` raises on a fit that does not converge."""
 

@@ -13,7 +13,7 @@ output c, output d, herald 1 (source 1's twin), herald 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 
 GE_1310 = "Ge-1310"
 INGAAS_1310 = "InGaAs-1310"
@@ -27,8 +27,64 @@ ALL_ROLES = (GE_1310, INGAAS_1310, INGAAS_1550_1, INGAAS_1550_2)
 SCHEMES = {"threefold": (GE_1310, INGAAS_1310), "fivefold": ALL_ROLES}
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class Record:
+    """Base of the frozen records `DetectorModel`, `ExperimentConfig`,
+    `DipCurve` and `DipFit`, each declared `@dataclass(init=False,
+    repr=False, eq=False)`. The decorator lists the fields (for
+    `dataclasses.fields`, `replace` and `__match_args__`) and compiles no
+    method, where a frozen dataclass compiles six per record at import.
+
+    A record is built by position or keyword, with the fields' defaults,
+    and checked by its `__post_init__`; it is frozen, and equal, hashed
+    and printed by its field values in order."""
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} "
+                            f"arguments but {len(args)} were given")
+        set_field = object.__setattr__  # unlike __dict__, keeps reads fast
+        for i, name in enumerate(names):
+            if i < len(args):
+                value = args[i]
+            elif name in kwargs:
+                value = kwargs.pop(name)
+            else:
+                value = self.__dataclass_fields__[name].default
+                if value is MISSING:
+                    raise TypeError(f"{type(self).__name__}() missing "
+                                    f"argument {name!r}")
+            set_field(self, name, value)
+        if kwargs:  # given by position too, or not a field
+            raise TypeError(f"{type(self).__name__}() got an unexpected or "
+                            f"repeated argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+@dataclass(init=False, repr=False, eq=False)
+class DetectorModel(Record):
     """Quantum efficiency and per-gate dark-count probability."""
 
     eta: float

@@ -56,13 +56,13 @@ import json
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from . import detect, fock, optics, pdc
-from .detect import ALL_ROLES, SCHEMES, DetectorModel
+from .detect import ALL_ROLES, SCHEMES, DetectorModel, Record
 
 # The filter values of an experiment, each positive and finite, and what
 # an out-of-range one is called in its error
@@ -78,8 +78,8 @@ _FILTER_VALUES = (("signal_nm", "filter center"),
 MAX_PAIRS_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(init=False, repr=False, eq=False)
+class ExperimentConfig(Record):
     """Complete description of one delay-scan experiment. A field with a
     default is a config key that may be left out (`cli.parse_config`).
 
@@ -158,7 +158,8 @@ class ExperimentConfig:
 
     def effective_detectors(self) -> Dict[str, DetectorModel]:
         """Detector models with collection losses folded into eta."""
-        return {role: replace(det, eta=det.eta * self.collection_efficiency)
+        return {role: DetectorModel(det.eta * self.collection_efficiency,
+                                    det.dark_prob)
                 for role, det in self.detectors.items()}
 
     def coherence_length_um(self) -> float:
@@ -186,8 +187,8 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class DipCurve:
+@dataclass(init=False, repr=False, eq=False)
+class DipCurve(Record):
     """Sampled (delay, rate, error) points."""
 
     delays_um: Tuple[float, ...]
