@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ _FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 MIN_FIT_POINTS = 5  # fewest points a fit takes; `cli` checks scan grids
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DipFit(Record):
     """Fitted dip parameters and fit diagnostics of a converged fit;
     `fit_dip` raises on a fit that does not converge."""

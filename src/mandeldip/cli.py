@@ -6,11 +6,12 @@ Subcommands:
   fit       fit a curve CSV and print the fit report JSON
 
 Config and validation failures exit 2 with an error JSON on stderr. A
-scan refuses before its engine runs, or removes an old manifest.json and
-writes curve.csv, fit.json and manifest.json in turn, each atomically and
-with the mode the umask gives, which it never sets: the set is not atomic,
-so a failed write can leave the files before it, and only manifest.json
-marks a whole set. config_digest is the SHA-256 of the config's bytes.
+scan refuses before its engine runs, or removes an old manifest.json, makes
+the output directory and writes curve.csv, fit.json and manifest.json in
+turn, each atomically and with the mode the umask gives, which it never
+sets: the set is not atomic, so a failed write can leave the files before
+it, and only manifest.json marks a whole set. config_digest is the SHA-256
+of the config's bytes.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _section(mapping, where: str) -> dict:
 
 
 def _build(prefix: str, make, **kwargs):
-    """`make(**kwargs)`, whose ValueError (a dataclass's range check)
+    """`make(**kwargs)`, whose ValueError (a record's range check)
     becomes a ConfigError of the same message after `prefix`."""
     try:
         return make(**kwargs)
@@ -153,7 +154,7 @@ def parse_config(data: dict, seed_override: Optional[int] = None
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write `text` to `path`, in an existing directory."""
     # "x" opens only a new name, with the umask's mode; a str, since a Path
     # interns its name, and random names grow that table by about 1.5 MB
     tmp = f"{path}.{os.urandom(8).hex()}"
@@ -231,6 +232,7 @@ def cmd_scan(args) -> int:
     manifest_path = out_dir / "manifest.json"
     # an old manifest would mark the mixed set a failed write leaves
     manifest_path.unlink(missing_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, curve_path)
 
     report = {"raw": _fit_report(curve)}

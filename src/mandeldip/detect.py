@@ -29,14 +29,20 @@ SCHEMES = {"threefold": (GE_1310, INGAAS_1310), "fivefold": ALL_ROLES}
 
 class Record:
     """Base of the frozen records `DetectorModel`, `ExperimentConfig`,
-    `DipCurve` and `DipFit`, each declared `@dataclass(init=False,
-    repr=False, eq=False)`. The decorator lists the fields (for
-    `dataclasses.fields`, `replace` and `__match_args__`) and compiles no
-    method, where a frozen dataclass compiles six per record at import.
+    `DipCurve` and `DipFit`. A record is declared by subclassing `Record`
+    with annotated fields; `__init_subclass__` applies
+    `@dataclass(init=False, repr=False, eq=False)`, which lists the fields
+    (for `dataclasses.fields`, `replace` and `__match_args__`) and
+    compiles no method, where a frozen dataclass compiles six per record
+    at import.
 
     A record is built by position or keyword, with the fields' defaults,
     and checked by its `__post_init__`; it is frozen, and equal, hashed
     and printed by its field values in order."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(init=False, repr=False, eq=False)(cls)
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
@@ -83,7 +89,6 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DetectorModel(Record):
     """Quantum efficiency and per-gate dark-count probability."""
 

@@ -69,5 +69,9 @@ def overlap_sq(delays_um, coherence_length_um: float,
         raise ValueError("spectral_mismatch must lie in [0, 1]")
     variance = dip_variance(coherence_length_um)
     d = np.asarray(delays_um, dtype=float)
+    # a delay beyond about 1.3e154 um squares to inf, whose overlap
+    # exp(-inf) is exactly 0: that overflow is the right answer
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-d ** 2 / (2.0 * variance))
     return (math.cos(polarization_angle_rad) ** 2 * (1.0 - spectral_mismatch)
-            * np.exp(-d ** 2 / (2.0 * variance)))
+            * envelope)

@@ -56,7 +56,6 @@ import json
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
@@ -78,7 +77,6 @@ _FILTER_VALUES = (("signal_nm", "filter center"),
 MAX_PAIRS_LIMIT = 20
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ExperimentConfig(Record):
     """Complete description of one delay-scan experiment. A field with a
     default is a config key that may be left out (`cli.parse_config`).
@@ -187,7 +185,6 @@ class ExperimentConfig(Record):
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DipCurve(Record):
     """Sampled (delay, rate, error) points."""
 

@@ -304,7 +304,7 @@ def test_scan_fivefold_at_signal_810_converges(tmp_path):
     assert json.loads((out_dir / "fit.json").read_text())["net"]["converged"]
 
 
-def test_module_entry_point_prints_no_runtime_warning():
+def test_module_entry_point_prints_no_runtime_warning(tmp_path):
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -316,6 +316,16 @@ def test_module_entry_point_prints_no_runtime_warning():
     assert "RuntimeWarning" not in proc.stderr
     assert json.loads(proc.stdout)["V_threefold"] == pytest.approx(1 / 3,
                                                                  abs=1e-6)
+    # delays beyond about 1.3e154 um square past the float range, where
+    # the overlap is exactly 0
+    data = json.loads((CONFIG_DIR / "ideal_threefold.json").read_text())
+    data["delays"] = {"min_um": -1e300, "max_um": 1e300, "step_um": 1e299}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mandeldip.cli", "scan",
+         str(write_config(tmp_path, data)), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def loads_numpy_random(statement):

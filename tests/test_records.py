@@ -15,7 +15,7 @@ import pytest
 
 from mandeldip import cli
 from mandeldip.analysis import DipFit
-from mandeldip.detect import DetectorModel
+from mandeldip.detect import DetectorModel, Record
 from mandeldip.runner import DipCurve, ExperimentConfig
 
 from lab_setup import lab_config
@@ -112,6 +112,32 @@ def test_fields_and_match_args(cls):
     assert [(f.name, f.default) for f in fields] == FIELDS[cls]
     assert all(f.default_factory is dataclasses.MISSING for f in fields)
     assert cls.__match_args__ == tuple(name for name, _ in FIELDS[cls])
+
+
+def test_a_subclass_of_record_is_a_record():
+    # declared with annotated fields only, as every record is
+    class Pair(Record):
+        a: float
+        b: float = 2.0
+
+        def __post_init__(self):
+            if self.a < 0:
+                raise ValueError("a must be non-negative")
+
+    pair = Pair(1.0)
+    assert [(f.name, f.default) for f in dataclasses.fields(pair)] == [
+        ("a", dataclasses.MISSING), ("b", 2.0)]
+    assert (pair.a, pair.b) == (1.0, 2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.a = 3.0
+    assert dataclasses.replace(pair, b=5.0) == Pair(1.0, 5.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        dataclasses.replace(pair, a=-1.0)
+    match pair:
+        case Pair(a, b):
+            assert (a, b) == (1.0, 2.0)
+        case _:
+            pytest.fail("a record matches by position")
 
 
 def test_positional_and_keyword_arguments_agree():
