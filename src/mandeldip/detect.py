@@ -66,6 +66,9 @@ class Record:
                             f"repeated argument {next(iter(kwargs))!r}")
         self.__post_init__()
 
+    def __post_init__(self):
+        """A record's range checks; a record without any needs none."""
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 

@@ -36,13 +36,11 @@ Two execution modes turn p(delay) into `DipCurve`s:
 * mc -- a seeded Binomial(N, p(delay)) draw of the coincidence count in
   N pulses. This is exact, not an approximation: pulses are i.i.d., so
   sampling pair counts, output patterns and clicks pulse by pulse gives
-  the same count distribution. Delay point i draws from numpy's PCG64
-  seeded by the `SeedSequence` child (seed, i), whose states
-  `_stream_seeds` derives for the whole grid at once from numpy's seed
-  pool, so results are bit-identical regardless of evaluation order.
-  A per-pulse path is only needed again for an effect that couples
-  pulses, such as detector dead time, afterpulsing or pump drift across
-  a scan.
+  the same count distribution. One `numpy.random.default_rng(seed)`
+  stream draws every point of a scan at once; the seed must be a
+  non-negative integer. A per-pulse path is only needed again for an
+  effect that couples pulses, such as detector dead time, afterpulsing
+  or pump drift across a scan.
 
 Truncation convention: pair configurations are conditioned on
 n1 + n2 <= max_pairs (probabilities renormalized), in both modes.
@@ -50,7 +48,6 @@ n1 + n2 <= max_pairs (probabilities renormalized), in both modes.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -310,96 +307,25 @@ def dip_curve_analytic(cfg: ExperimentConfig) -> DipCurve:
                     errors_hz=(0.0,) * len(cfg.delays_um))
 
 
-def _hash_constants(c: int, mult: int, start: int, n: int):
-    """(xor, multiplier) columns of calls start..start + n - 1 of a
-    `SeedSequence` hash: call k xors c mult^k and multiplies by
-    c mult^(k+1), mod 2**32."""
-    h = np.array([c * pow(mult, k, 1 << 32) & 0xFFFFFFFF
-                  for k in range(start, start + n + 1)], np.uint32)[:, None]
-    return h[:-1], h[1:]
-
-
-def _stream_seeds(seed: int, n_points: int) -> np.ndarray:
-    """Rows `SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4,
-    np.uint64)` for i in range(n_points), in one pass.
-
-    numpy hashes the seed's 32-bit words, padded to its 4-word pool, into
-    the pool, then the index word, then hashes the pool out to 8 words.
-    The seed part is numpy's own `SeedSequence(seed).pool`; the rest
-    depends on i and runs over the grid as uint32 arrays, which wrap
-    silently.
-    """
-    seed = operator.index(seed)  # None must not reach numpy's OS entropy
-    pool = np.random.SeedSequence(seed).pool[:, None]
-    # the seed's words took 4 hash calls each, for at least 4 words; the
-    # index word is hashed and mixed into each pool word as (4, n) arrays
-    skip = 4 * max(4, (seed.bit_length() + 31) // 32)
-    xor, mul = _hash_constants(0x43B0D7E5, 0x931E8875, skip, 4)
-    v = (np.arange(n_points, dtype=np.uint32) ^ xor) * mul
-    v ^= v >> 16
-    v = 0xCA01F9DD * pool - 0x4973F715 * v  # numpy's `mix`
-    v ^= v >> 16
-    # the output hash cycles twice through the pool; words pair little-endian
-    xor, mul = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 8)
-    v = (np.concatenate((v, v)) ^ xor) * mul
-    v ^= v >> 16
-    return v.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _state_row_type() -> type:
-    """An `ISeedSequence` that hands `PCG64` one row of `_stream_seeds`,
-    the state it asks for as `generate_state(4, np.uint64)`. Built on
-    first use, so only a scan that draws loads `numpy.random`."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateRow(ISeedSequence):
-        def __init__(self, row: np.ndarray):
-            self.row = row
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.row
-
-    return StateRow
-
-
-def _mc_draw(cfg: ExperimentConfig, row: np.ndarray,
-             p: float) -> Tuple[float, float]:
-    """Simulate one delay point of per-pulse probability p from its
-    stream's seed row; returns (rate_hz, error_hz).
-
-    The coincidence count is one draw of Binomial(N, p). Pulses are
-    i.i.d., so this is the exact distribution of the per-pulse chain
-    (pair counts, output pattern, detector clicks) summed over N pulses,
-    at a cost that does not depend on N. Dead time, afterpulsing or pump
-    drift across a scan would couple pulses and need a per-pulse path
-    again.
-    """
-    rng = np.random.Generator(np.random.PCG64(_state_row_type()(row)))
-    n_pulses = cfg.pulses_per_point
-    # only rounding of the truncated sum takes p above 1
-    p_hat = int(rng.binomial(n_pulses, min(p, 1.0))) / n_pulses
-    rate = p_hat * cfg.pulse_rate_hz
-    err = math.sqrt(p_hat * (1.0 - p_hat) / n_pulses) * cfg.pulse_rate_hz
-    return rate, err
-
-
-def _mc_point(cfg: ExperimentConfig, point_index: int,
-              p: float) -> Tuple[float, float]:
-    """Point `point_index` of `dip_curve_mc` at probability p, alone."""
-    return _mc_draw(cfg, _stream_seeds(cfg.seed, point_index + 1)[-1], p)
-
-
 def dip_curve_mc(cfg: ExperimentConfig) -> DipCurve:
-    """Monte Carlo delay scan; deterministic per (seed, point index)."""
+    """Monte Carlo delay scan: one Binomial(N, p(delay)) draw of the
+    coincidence count per point, every point from one `default_rng(seed)`
+    stream, so the same seed gives the same curve."""
     if cfg.small_eta:
         raise ValueError("Monte Carlo mode requires finite efficiencies")
-    rows = _stream_seeds(cfg.seed, len(cfg.delays_um))
-    probs = _coincidence_probs(cfg).tolist()
-    points = [_mc_draw(cfg, row, p) for row, p in zip(rows, probs)]
-    return DipCurve(delays_um=cfg.delays_um,
-                    rates_hz=tuple(r for r, _ in points),
-                    errors_hz=tuple(e for _, e in points))
+    # an integer only: default_rng(None) would seed from OS entropy; a
+    # negative seed is refused here too, both before the engine runs
+    rng = np.random.default_rng(operator.index(cfg.seed))
+    n_pulses = cfg.pulses_per_point
+    # only rounding of the truncated sum takes p above 1
+    counts = rng.binomial(n_pulses, np.minimum(_coincidence_probs(cfg), 1.0))
+    # Python ints, so k / N is rounded once
+    p_hats = [k / n_pulses for k in counts.tolist()]
+    return DipCurve(
+        delays_um=cfg.delays_um,
+        rates_hz=tuple(p * cfg.pulse_rate_hz for p in p_hats),
+        errors_hz=tuple(math.sqrt(p * (1.0 - p) / n_pulses)
+                        * cfg.pulse_rate_hz for p in p_hats))
 
 
 def accidental_floor_hz(cfg: ExperimentConfig) -> float:

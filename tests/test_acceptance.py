@@ -123,11 +123,12 @@ def test_08_mc_matches_analytic_and_is_deterministic():
         worst = max(worst, pull)
         assert pull <= 4.0
 
-    # point-order independence stands in for thread-count independence
-    probs = runner._coincidence_probs(cfg)
-    for idx in (4, 0, 8, 2):
-        rate, _ = runner._mc_point(cfg, idx, probs[idx])
-        assert rate == mc.rates_hz[idx]
+    # the same seed gives the same curve: one default_rng(seed) stream
+    # draws every point's count at once
+    assert runner.dip_curve_mc(cfg).rates_hz == mc.rates_hz
+    probs = np.minimum(runner._coincidence_probs(cfg), 1.0)
+    counts = np.random.default_rng(42).binomial(n, probs).tolist()
+    assert mc.rates_hz == tuple(k / n * cfg.pulse_rate_hz for k in counts)
     report(8, "worst MC pull (sigma)", f"{worst:.2f}")
 
 

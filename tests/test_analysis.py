@@ -218,10 +218,21 @@ def test_fit_on_seeded_mc_curve():
 
 def lab_mc_curves(seed):
     """Raw and net MC curves of the shipped paper-regime config (31
-    points, a few counts each) at an MC seed."""
+    points, a few counts each) at an MC seed. Seeds 5, 6, 14 and 33 are
+    picked for what their draws show, so each point keeps its own numpy
+    `SeedSequence(entropy=seed, spawn_key=(i,))` stream, whatever stream
+    `runner.dip_curve_mc` draws from."""
     cfg = cli.parse_config(json.loads(LAB_CONFIG.read_text()),
                            seed_override=seed)
-    raw = runner.dip_curve_mc(cfg)
+    n, pulse_rate = cfg.pulses_per_point, cfg.pulse_rate_hz
+    p_hats = [int(np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+        .binomial(n, min(p, 1.0))) / n
+        for i, p in enumerate(runner._coincidence_probs(cfg).tolist())]
+    raw = DipCurve(delays_um=cfg.delays_um,
+                   rates_hz=tuple(p * pulse_rate for p in p_hats),
+                   errors_hz=tuple(math.sqrt(p * (1.0 - p) / n) * pulse_rate
+                                   for p in p_hats))
     return raw, analysis.subtract_floor(raw, runner.accidental_floor_hz(cfg))
 
 

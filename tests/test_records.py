@@ -140,6 +140,17 @@ def test_a_subclass_of_record_is_a_record():
             pytest.fail("a record matches by position")
 
 
+def test_a_record_with_fields_only_is_built():
+    # no range check: Record's own __post_init__ does nothing
+    class Point(Record):
+        x: int
+        y: int = 0
+
+    assert (Point(1).x, Point(1).y) == (1, 0)
+    assert Point(1, 2) == Point(x=1, y=2) != Point(1)
+    assert dataclasses.replace(Point(1), y=3) == Point(1, 3)
+
+
 def test_positional_and_keyword_arguments_agree():
     values = vars(lab_config())
     by_position = ExperimentConfig(*values.values())

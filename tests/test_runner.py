@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import random
 import time
 from pathlib import Path
 
@@ -274,45 +273,68 @@ def test_mc_zero_sources_dark_free_is_silent():
 
 
 def test_mc_deterministic_and_order_independent():
+    # a scan's draw depends on its own seed only, not on which scans ran
+    # before it: no generator is shared between scans
     cfg = make_config(small_eta=False, delays=np.linspace(-150, 150, 7),
                       pulses_per_point=50_000, seed=11)
     curve = runner.dip_curve_mc(cfg)
+    other = runner.dip_curve_mc(dataclasses.replace(cfg, seed=12))
     again = runner.dip_curve_mc(cfg)
-    assert curve.rates_hz == again.rates_hz
-
-    probs = runner._coincidence_probs(cfg)
-    order = list(range(len(cfg.delays_um)))
-    random.Random(0).shuffle(order)
-    shuffled = {i: runner._mc_point(cfg, i, probs[i]) for i in order}
-    for i in range(len(cfg.delays_um)):
-        assert shuffled[i][0] == curve.rates_hz[i]
+    assert curve.rates_hz == again.rates_hz != other.rates_hz
 
 
-@pytest.mark.parametrize("seed", [0, 1, 5, 20, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1,
-                                  2 ** 64 + 3, 2 ** 100 + 11])
-def test_stream_seeds_match_numpy_seed_sequence(seed):
-    rows = runner._stream_seeds(seed, 301)
-    want = [np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-            .generate_state(4, np.uint64) for i in range(301)]
-    assert rows.dtype == np.uint64
-    np.testing.assert_array_equal(rows, want)
+@pytest.mark.parametrize("seed, error", [(None, TypeError), (1.5, TypeError),
+                                         (-1, ValueError)])
+def test_mc_seed_is_a_non_negative_integer(monkeypatch, seed, error):
+    # default_rng(None) would seed from OS entropy, and an MC scan would
+    # not be reproducible; each seed is refused before the engine runs
+    def engine(cfg):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(runner, "_coincidence_probs", engine)
+    cfg = dataclasses.replace(make_config(small_eta=False), seed=seed)
+    with pytest.raises(error):
+        runner.dip_curve_mc(cfg)
 
 
 @pytest.mark.parametrize("name", ["ideal_threefold.json", "ideal_fivefold.json",
                                   "lab_fivefold.json"])
 def test_mc_draws_match_numpy_seed_sequence_streams(name):
-    # numpy's own per-point child stream (seed, i) is the reference
+    # one numpy default_rng(seed) stream draws every point's count at once
     data = json.loads((CONFIG_DIR / name).read_text())
     cfg = dataclasses.replace(cli.parse_config(data), small_eta=False)
     n = cfg.pulses_per_point
     for seed in (cfg.seed, 2 ** 64 + 3):
         cfg = dataclasses.replace(cfg, seed=seed)
         curve = runner.dip_curve_mc(cfg)
-        for i, p in enumerate(runner._coincidence_probs(cfg).tolist()):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
-            k = int(rng.binomial(n, p))
+        probs = np.minimum(runner._coincidence_probs(cfg), 1.0)
+        counts = np.random.default_rng(seed).binomial(n, probs).tolist()
+        for i, k in enumerate(counts):
             assert curve.rates_hz[i] == k / n * cfg.pulse_rate_hz, (seed, i)
+
+
+@pytest.mark.parametrize("n", [10 ** 6, 10 ** 8])
+def test_mc_counts_have_the_binomial_mean_and_variance(n):
+    # over seeds 0-199, at every point of lab_fivefold, the sample mean and
+    # variance of the counts lie within 5 standard errors of N p and
+    # N p (1 - p); the variance's standard error comes from the binomial's
+    # fourth central moment
+    data = json.loads((CONFIG_DIR / "lab_fivefold.json").read_text())
+    data["mc"] = {"pulses_per_point": n}
+    cfg = cli.parse_config(data)
+    seeds = range(200)
+    counts = np.array([np.asarray(runner.dip_curve_mc(
+        dataclasses.replace(cfg, seed=seed)).rates_hz) for seed in seeds])
+    counts = np.rint(counts / cfg.pulse_rate_hz * n)
+    p = runner._coincidence_probs(cfg)
+    m = len(seeds)
+    var = n * p * (1.0 - p)
+    mu4 = var * (1.0 + 3.0 * (n - 2) * p * (1.0 - p))
+    z_mean = (counts.mean(axis=0) - n * p) / np.sqrt(var / m)
+    z_var = ((counts.var(axis=0, ddof=1) - var)
+             / np.sqrt((mu4 - (m - 3) / (m - 1) * var ** 2) / m))
+    assert np.max(np.abs(z_mean)) < 5.0
+    assert np.max(np.abs(z_var)) < 5.0
 
 
 def test_mc_agrees_with_analytic():
@@ -345,13 +367,30 @@ def test_mc_paper_scale_pulse_count():
         assert abs(k - mu) <= 4 * math.sqrt(mu)
 
 
-def test_mc_error_scaling():
+def test_mc_error_scaling(monkeypatch):
+    # each error is the binomial error of its own count, exactly
     base = dict(small_eta=False, delays=np.linspace(-150, 150, 5), seed=9)
-    e1 = np.mean(runner.dip_curve_mc(
-        make_config(pulses_per_point=100_000, **base)).errors_hz)
-    e2 = np.mean(runner.dip_curve_mc(
-        make_config(pulses_per_point=400_000, **base)).errors_hz)
-    assert e1 / e2 == pytest.approx(2.0, rel=0.15)
+    cfg = make_config(pulses_per_point=100_000, **base)
+    curve = runner.dip_curve_mc(cfg)
+    n = cfg.pulses_per_point
+    for rate, err in zip(curve.rates_hz, curve.errors_hz):
+        p_hat = round(rate / cfg.pulse_rate_hz * n) / n
+        assert err == math.sqrt(p_hat * (1.0 - p_hat) / n) * cfg.pulse_rate_hz
+
+    # at the analytic p (each count its expectation N p), the error is
+    # the binomial sigma, and it halves when N grows 4x
+    class Expected:
+        def binomial(self, n, p):
+            return n * p
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Expected())
+    e1 = runner.dip_curve_mc(cfg).errors_hz
+    e2 = runner.dip_curve_mc(make_config(pulses_per_point=400_000,
+                                         **base)).errors_hz
+    p = runner._coincidence_probs(cfg)
+    assert e1 == pytest.approx(
+        np.sqrt(p * (1.0 - p) / n) * cfg.pulse_rate_hz, rel=1e-12)
+    assert all(a == 2.0 * b > 0.0 for a, b in zip(e1, e2))
 
 
 def test_mc_rejects_small_eta_mode():
