@@ -7,9 +7,11 @@ squares by variable projection: for a fixed sigma the model is linear in
 (S, S V), which two normal equations give in closed form, so only sigma
 is searched, over a bounded range [half the smallest delay step, grid
 span]: on a fixed grid of widths, then refined one width at a time. The
-search costs the same on every curve and cannot run off to an unbounded
-width, and its result does not depend on the units of the delays, the
-rates or the error bars.
+grid and each refinement step call one evaluator, which takes a width's
+2x2 solve, cost and cost slope from six weighted sums of the Gaussian.
+The search costs the same on every curve and cannot run off to an
+unbounded width, and its result does not depend on the units of the
+delays, the rates or the error bars.
 """
 
 from __future__ import annotations
@@ -89,49 +91,44 @@ _MAX_REFINEMENTS = 100
 
 
 def _width_profile(tau2, y, w2):
-    """Least-squares profile of the dip over its width.
+    """Least-squares profile of the dip over its width: the fit's one
+    evaluator, for the grid and for every refinement step.
 
-    For a fixed width sigma the model a - b g(tau), with
-    g = exp(-tau^2 / (2 sigma^2)), is linear in (a, b) = (S, S V). The
-    first returned function maps a 1-D array of widths to, per width,
-    that weighted least-squares (a, b), the determinant of the 2x2
-    normal equations over the weight sum, sum w^2 (g - mean g)^2 (0 when
-    every g is equal, e.g. all underflowed to 0, and the system is
-    singular; b is then 0), the cost c(sigma), dc/dsigma and g, one row
-    per width. The second maps one width to (a, b, det, dc/dsigma) as
-    floats and g, with 1-D arrays. Each evaluates one exp per delay and
-    width. By the envelope theorem dc/dsigma is the partial derivative
-    at fixed (a, b), so it costs one pass over the curve. Products use
-    `ndarray.dot`, which gives what `@` gives without the matmul
-    dispatch that dominates on curves of a few dozen points.
+    For a fixed width sigma the model a - b g(tau), g = exp(-tau^2 /
+    (2 sigma^2)), is linear in (a, b) = (S, S V). The returned function
+    maps a float width, or a 1-D array of widths, to (a, b), det (of the
+    2x2 normal equations over the weight sum), the cost c, dc/dsigma and
+    g, one value (row of g) per width. Per width it takes one exp per
+    delay and six sums by two `ndarray.dot` products against rows built
+    once per fit (`@` would add the matmul dispatch):
+        m = sum(w^2 g) / W,      p = sum(w^2 y_c g),
+        q = sum(w^2 tau^2 g),    r = sum(w^2 tau^2 y_c g),
+        s = sum(w^2 g^2),        t = sum(w^2 tau^2 g^2),
+    with W = sum(w^2), y_c = y - ybar, S_yy = sum(w^2 y_c^2). Then
+    det = s - W m^2 (0 when every g is equal, e.g. all 0: singular, and
+    b is then 0), b = -p / det, a = ybar + b m, c = S_yy + b p and, by
+    the envelope theorem, dc/dsigma = 2 b (b (t - m q) + r) / sigma^3.
     """
-    wn = w2 / w2.sum()
-    y_mean = float(wn.dot(y))
+    w2_sum = w2.sum()
+    wn = w2 / w2_sum
+    y_mean = wn.dot(y)
     yc = y - y_mean
-    w2_yc, w2_tau2 = w2 * yc, w2 * tau2
+    s_yy = w2.dot(yc * yc)
+    w2_tau2 = w2 * tau2
+    g_rows = np.array([wn, w2 * yc, w2_tau2, w2_tau2 * yc])
+    g2_rows = np.array([w2, w2_tau2])
 
-    def profile(sigma):
-        g = np.exp(tau2 / (-2.0 * sigma[:, None] ** 2))
-        g_mean = g.dot(wn)
-        gc = g - g_mean[:, None]
-        det = (gc ** 2).dot(w2)
-        b = np.divide(-gc.dot(w2_yc), det, out=np.zeros_like(det),
-                      where=det > 0.0)
-        r = b[:, None] * gc + yc    # y - (a - b g)
-        dcost = 2.0 * b * (r * g).dot(w2_tau2) / sigma ** 3
-        return y_mean + b * g_mean, b, det, (r ** 2).dot(w2), dcost, g
+    def evaluate(sigma):
+        # one column of g per width
+        g = np.exp(np.divide.outer(tau2, -2.0 * sigma ** 2))
+        m, p, q, r = g_rows.dot(g)
+        s, t = g2_rows.dot(g * g)
+        det = s - w2_sum * m * m
+        b = -p * (det != 0.0) / (det + (det == 0.0))  # 0 where det == 0
+        dcost = 2.0 * b * (b * (t - m * q) + r) / sigma ** 3
+        return y_mean + b * m, b, det, s_yy + b * p, dcost, g.T
 
-    def at(sigma):
-        g = np.exp(tau2 / (-2.0 * sigma ** 2))
-        g_mean = float(g.dot(wn))
-        gc = g - g_mean
-        det = float((gc ** 2).dot(w2))
-        b = -float(gc.dot(w2_yc)) / det if det > 0.0 else 0.0
-        r = b * gc + yc
-        dcost = 2.0 * b * float((r * g).dot(w2_tau2)) / sigma ** 3
-        return y_mean + b * g_mean, b, det, dcost, g
-
-    return profile, at
+    return evaluate
 
 
 def _ldexp(x: float, exp: int) -> float:
@@ -158,9 +155,11 @@ def fit_dip(curve: DipCurve) -> DipFit:
     over [half the smallest delay step, grid span]: c is evaluated on a
     fixed log-spaced grid of widths, and the grid minimum is refined by
     a bracketed root find (regula falsi with Anderson-Bjorck steps) on
-    dc/dsigma that evaluates one width per step. `iterations` counts
-    those refinements. The residual is taken at the reported parameters,
-    with the Gaussian of the accepted width, which the search computed.
+    dc/dsigma that evaluates one width per step; grid and steps share
+    one evaluator of six weighted sums per width (`_width_profile`).
+    `iterations` counts those refinements. The residual is taken at the
+    reported parameters, with the Gaussian of the accepted width, which
+    the search computed.
     The delays are fitted in a power-of-two unit of the grid span, the
     rates in one of the largest rate and the error bars in one of the
     smallest error, so the fit does not depend on the units of any:
@@ -224,11 +223,11 @@ def fit_dip(curve: DipCurve) -> DipFit:
     lo_step, span = 0.5 * float(steps.min()), float(steps.sum())
     span_unit = math.frexp(span)[1]
     unit = tau_unit + span_unit
-    profile, at = _width_profile(np.ldexp(tau, -unit) ** 2, y, w2)
+    evaluate = _width_profile(np.ldexp(tau, -unit) ** 2, y, w2)
     lo_width = math.ldexp(lo_step, -span_unit)
     hi_width = math.ldexp(span, -span_unit)
     widths = lo_width * (hi_width / lo_width) ** _UNIT_STEPS
-    a_grid, b_grid, det_grid, cost, dcost, g_grid = profile(widths)
+    a_grid, b_grid, det_grid, cost, dcost, g_grid = evaluate(widths)
     i = int(cost.argmin())
     lo, hi = (i, i + 1) if dcost[i] < 0.0 else (i - 1, i)
     if lo < 0 or hi >= _N_WIDTHS:
@@ -254,7 +253,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
                                f"{_MAX_REFINEMENTS} width refinements")
         iterations += 1
         x_new = x1 - f1 * (x1 - x0) / (f1 - f0)
-        a, b, det, f, g = at(x_new)
+        a, b, det, _, f, g = evaluate(x_new)
         done = f == 0.0 or abs(x_new - x) <= _WIDTH_RTOL * x_new
         x = x_new
         if done:
@@ -280,7 +279,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
             f"dip fit did not converge: S = {_ldexp(a, rate_unit):.6g} is "
             f"at most 1e-12 of the peak rate {y_max:.6g}")
 
-    v = b / a
+    v = float(b / a)  # a Python float, so that `clamped` is a bool
     clamped = v < 0.0 or v > 1.0
     if clamped:
         warnings.warn(f"fitted visibility {v:.4f} clamped into [0, 1]",
@@ -295,7 +294,7 @@ def fit_dip(curve: DipCurve) -> DipFit:
 
 def subtract_floor(curve: DipCurve, floor_hz: float) -> DipCurve:
     """Point-wise removal of a delay-independent background rate."""
-    if floor_hz < 0.0:
-        raise ValueError("floor must be non-negative")
+    if not 0.0 <= floor_hz < math.inf:  # written so that a NaN fails it
+        raise ValueError("floor must be finite and non-negative")
     rates = tuple(max(0.0, r - floor_hz) for r in curve.rates_hz)
     return replace(curve, rates_hz=rates)

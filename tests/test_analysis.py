@@ -92,6 +92,29 @@ def test_clamped_fit_reports_residual_of_reported_parameters():
     assert report["residual"] == pytest.approx(miss, rel=1e-12)
 
 
+def test_fit_returns_builtin_types():
+    # an ordinary, a clamped and a flat curve; numpy scalars would leak
+    # into fit.json, and a numpy bool is not JSON serializable
+    sigma = 60.0
+    half = np.linspace(0.5 * sigma, 5 * sigma, 20)
+    curves = (synthetic_curve(160.0, 0.28, 142.0 / FWHM_PER_SIGMA),
+              synthetic_curve(100.0, 1.1, sigma,
+                              delays=np.concatenate([-half[::-1], half])),
+              DipCurve(delays_um=tuple(np.linspace(-100, 100, 9)),
+                       rates_hz=(42.0,) * 9, errors_hz=(1.0,) * 9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        fits = [fit_dip(curve) for curve in curves]
+    assert [fit.clamped for fit in fits] == [False, True, False]
+    for fit in fits:
+        for value in (fit.s, fit.visibility, fit.sigma_tau_um,
+                      fit.residual_norm):
+            assert type(value) is float
+        assert type(fit.iterations) is int
+        assert type(fit.clamped) is bool
+    assert fits[2].iterations == 0 and fits[2].visibility == 0.0
+
+
 def test_too_few_points_rejected():
     curve = DipCurve(delays_um=(-10.0, 0.0, 10.0), rates_hz=(1.0, 0.5, 1.0),
                      errors_hz=(0.0,) * 3)
@@ -196,8 +219,9 @@ def test_subtract_floor_clamps_at_zero():
     raw = DipCurve(delays_um=(0.0, 1.0), rates_hz=(10.0, 2.0),
                    errors_hz=(1.0, 1.0))
     assert analysis.subtract_floor(raw, 3.0).rates_hz == (7.0, 0.0)
-    with pytest.raises(ValueError):
-        analysis.subtract_floor(raw, -1.0)
+    for floor in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            analysis.subtract_floor(raw, floor)
 
 
 def test_fit_on_seeded_mc_curve():
@@ -343,41 +367,69 @@ def test_fit_is_stationary_on_resolved_binomial_curves():
         assert np.all(np.abs(wj.T @ wr) <= bound)
 
 
-def test_scalar_width_evaluation_matches_vector_profile():
-    # the refinement's one-width path against the vector profile called
-    # with that one width, as the refinement used to call it, over the
-    # whole width range; on the second grid (no delay near 0) every g
-    # underflows at the narrowest widths, where det == 0 gives b == 0.
-    # (a, b, det) also match the grid pass; its dc/dsigma sums in
-    # another order and loses up to ~1e-8 where that sum cancels.
+def centred_profile(tau, y, w2, sigma):
+    """(a, b, det, dc/dsigma) at one width by centred sums, as the fit
+    computed them before its one evaluator took moment form."""
+    wn = w2 / w2.sum()
+    y_mean = wn @ y
+    yc = y - y_mean
+    g = np.exp(-tau ** 2 / (2.0 * sigma ** 2))
+    g_mean = wn @ g
+    gc = g - g_mean
+    det = (gc ** 2) @ w2
+    b = -(gc @ (w2 * yc)) / det if det > 0.0 else 0.0
+    r = b * gc + yc
+    dcost = 2.0 * b * ((r * g) @ (w2 * tau ** 2)) / sigma ** 3
+    return y_mean + b * g_mean, b, det, dcost
+
+
+def test_one_width_evaluator_takes_floats_and_arrays():
+    # a noisy dip with error bars, the same dip noiseless, and a grid
+    # with no delay near 0 (300-700 um), where every g underflows at
+    # the narrowest widths and det == 0 gives b == 0
     rng = np.random.default_rng(9)
     tau = np.linspace(-300.0, 300.0, 31)
     noisy = dip_model(tau, 160.0, 0.6, 50.0) + rng.normal(0.0, 2.0, tau.size)
     far = 300.0 + 10.0 * np.arange(41)
-    for tau, y, err in ((tau, noisy, rng.uniform(1.0, 3.0, tau.size)),
-                        (far, dip_model(far, 50.0, 0.8, 200.0),
-                         np.ones(far.size))):
-        profile, at = analysis._width_profile(tau ** 2, y, err ** -2.0)
+    cases = ((tau, noisy, rng.uniform(1.0, 3.0, tau.size)),
+             (tau, dip_model(tau, 160.0, 0.6, 50.0), np.ones(tau.size)),
+             (far, dip_model(far, 50.0, 0.8, 200.0), np.ones(far.size)))
+    for tau, y, err in cases:
+        w2 = err ** -2.0
+        evaluate = analysis._width_profile(tau ** 2, y, w2)
         steps = np.diff(tau)
         lo, hi = 0.5 * steps.min(), steps.sum()
         widths = lo * (hi / lo) ** np.linspace(0.0, 1.0, 25)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            grid = profile(widths)
-            one = np.array([np.concatenate(profile(np.array([x]))[:5])[[0, 1, 2, 4]]
-                            for x in widths])
-            at_widths = [at(float(x)) for x in widths]
-        scalar = np.array([row[:4] for row in at_widths])
-        np.testing.assert_allclose(scalar, one, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(scalar[:, :3], np.array(grid[:3]).T,
-                                   rtol=1e-13, atol=0.0)
-        # the Gaussian both return is the model's at that width
+            grid = evaluate(widths)
+            ones = [evaluate(float(x)) for x in widths]
+        # a float width gives its row of the array call
+        one = np.array([row[:5] for row in ones]).T
+        np.testing.assert_allclose(one[:4], np.array(grid[:4]),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(one[4], grid[4], rtol=0.0,
+                                   atol=1e-12 * np.abs(grid[4]).max())
+        # g is the model's Gaussian at each width
         want = np.exp(-tau ** 2 / (2.0 * widths[:, None] ** 2))
         np.testing.assert_allclose(grid[5], want, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose([row[4] for row in at_widths], want,
+        np.testing.assert_allclose([row[5] for row in ones], want,
                                    rtol=1e-13, atol=0.0)
-    assert scalar[0, 1] == 0.0 and scalar[0, 2] == 0.0
-    assert scalar[-1, 2] > 0.0
+        # the centred sums agree
+        ref = np.array([centred_profile(tau, y, w2, x) for x in widths]).T
+        both = (ref[2] > 0.0) & (grid[2] > 0.0)
+        assert both.sum() >= 20
+        for k in range(3):
+            np.testing.assert_allclose(grid[k][both], ref[k][both],
+                                       rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grid[4], ref[3], rtol=0.0,
+                                   atol=1e-10 * np.abs(ref[3]).max())
+    # the 300-700 um grid: at its narrowest widths every g, or every
+    # g^2, underflows, so the system is singular and b exactly 0
+    singular = grid[2] == 0.0
+    assert singular[0] and not singular[-1]
+    assert np.array_equal(one[2] == 0.0, singular)
+    assert np.all(grid[1][singular] == 0.0) and np.all(one[1][singular] == 0.0)
 
 
 def test_refinement_scales_the_upper_end_kept_twice(monkeypatch):
@@ -391,16 +443,18 @@ def test_refinement_scales_the_upper_end_kept_twice(monkeypatch):
     width_profile = analysis._width_profile
 
     def recording(*args):
-        profile, at = width_profile(*args)
+        evaluate = width_profile(*args)
 
-        def at_recorded(sigma):
-            out = at(sigma)
-            slopes.append(out[3])
+        def evaluate_recorded(sigma):
+            out = evaluate(sigma)
+            if np.ndim(sigma) == 0:   # a refinement step, not the grid
+                slopes.append(out[4])
             return out
-        return profile, at_recorded
+        return evaluate_recorded
 
     monkeypatch.setattr(analysis, "_width_profile", recording)
     fit = fit_dip(curve)
+    assert len(slopes) == fit.iterations
     # the branch runs when the second of two negative slopes is not the last
     assert any(f0 < 0.0 and f1 < 0.0
                for f0, f1 in zip(slopes[:-2], slopes[1:-1])), slopes
